@@ -22,13 +22,12 @@ from .indecomp import (
     build_order1_modules,
     build_order2_module,
     classify_block,
-    companion_matrix,
     q1_indecomposables,
     q2_indecomposables,
     rep_to_weight_module,
     weight_module_to_rep,
 )
-from .linalg import Matrix
+from .linalg import Matrix, companion_matrix
 from .orbits import (
     OrbitInfo,
     SepMaxIdeal,

@@ -20,7 +20,15 @@ from .errors import (
     WrongBreakOrder,
 )
 from .fields import FieldDesc, Poly, is_irreducible, iter_monic_polys
-from .linalg import Matrix, iter_invertible, iter_matrices, solve_intertwiners
+from .linalg import (
+    Matrix,
+    companion_matrix,
+    has_proper_idempotent,
+    iter_invertible,
+    iter_matrices,
+    iter_span,
+    solve_intertwiners,
+)
 from .orbits import ZERO_SHIFT, OrbitInfo, ShiftVector, Window
 from .simples import build_S_O_p
 from .weightmod import SkeletonModuleA, WeightModule, from_skeleton_module
@@ -128,21 +136,6 @@ def q1_indecomposables(field: FieldDesc) -> List[QuiverRep]:
         QuiverRep("q1", field, {1: 1, 2: 1}, {"a": one, "b": zero}, label="M_a"),
         QuiverRep("q1", field, {1: 1, 2: 1}, {"a": zero, "b": one}, label="M_b"),
     ]
-
-
-def companion_matrix(f: Poly) -> Matrix:
-    """Multiplication by the variable on the quotient by a monic polynomial."""
-    if not f.is_monic() or f.degree < 1:
-        raise ValueError("companion matrix needs a monic polynomial of degree >= 1")
-    field = f.field
-    e = f.degree
-    zero, one = field.zero(), field.one()
-    rows = [[zero] * e for _ in range(e)]
-    for k in range(e - 1):
-        rows[k + 1][k] = one
-    for k in range(e):
-        rows[k][e - 1] = -f.coeff(k)
-    return Matrix(field, e, e, rows)
 
 
 def diamond_module(field: FieldDesc, i: int) -> QuiverRep:
@@ -331,23 +324,10 @@ def are_isomorphic(rep1: QuiverRep, rep2: QuiverRep, *, budget: int = 1 << 16) -
         raise EnumerationBudgetExceeded(
             f"{order}**{len(basis)} intertwiners exceed the budget"
         )
-    vertices, _ = quiver_layout(rep1.quiver)
-    elems = list(field.enumerate_elements())
-    for combo in itertools.product(elems, repeat=len(basis)):
-        cand = {}
-        for v in vertices:
-            acc = Matrix.zeros(field, rep2.dims[v], rep1.dims[v])
-            for c, sol in zip(combo, basis):
-                if not c.is_zero():
-                    acc = acc + sol[v].scale(c)
-            cand[v] = acc
-        if all(
-            cand[v].nrows == cand[v].ncols and cand[v].inverse() is not None
-            for v in vertices
-            if rep1.dims[v] > 0
-        ):
-            return True
-    return False
+    return any(
+        all(cand[v].inverse() is not None for v in cand if rep1.dims[v] > 0)
+        for cand in iter_span(field, basis)
+    )
 
 
 def rep_fingerprint(rep: QuiverRep) -> tuple:
@@ -358,15 +338,11 @@ def rep_fingerprint(rep: QuiverRep) -> tuple:
     )
 
 
-def endomorphism_basis_rep(rep: QuiverRep):
-    return hom_basis(rep, rep)
-
-
 def is_indecomposable_rep(rep: QuiverRep, *, budget: int = 1 << 16) -> bool:
     """Idempotent search in the endomorphism algebra (finite fields)."""
     if rep.total_dim() == 0:
         return False
-    basis = endomorphism_basis_rep(rep)
+    basis = hom_basis(rep, rep)
     field = rep.field
     order = field.order()
     if order is None:
@@ -375,24 +351,7 @@ def is_indecomposable_rep(rep: QuiverRep, *, budget: int = 1 << 16) -> bool:
         raise EnumerationBudgetExceeded(
             f"endomorphism algebra of size {order}**{len(basis)} exceeds budget"
         )
-    vertices, _ = quiver_layout(rep.quiver)
-    elems = list(field.enumerate_elements())
-    ident = {v: Matrix.identity(field, rep.dims[v]) for v in vertices}
-    for combo in itertools.product(elems, repeat=len(basis)):
-        cand = {}
-        for v in vertices:
-            acc = Matrix.zeros(field, rep.dims[v], rep.dims[v])
-            for c, sol in zip(combo, basis):
-                if not c.is_zero():
-                    acc = acc + sol[v].scale(c)
-            cand[v] = acc
-        if all(m.is_zero() for m in cand.values()):
-            continue
-        if all(cand[v] == ident[v] for v in vertices):
-            continue
-        if all(cand[v] * cand[v] == cand[v] for v in vertices):
-            return False
-    return True
+    return not has_proper_idempotent(field, basis)
 
 
 # ---- brute-force enumeration oracle -----------------------------------------

@@ -31,13 +31,6 @@ class Matrix:
     # ---- constructors ---------------------------------------------------
 
     @classmethod
-    def from_rows(cls, field, rows) -> "Matrix":
-        rows = [list(r) for r in rows]
-        nrows = len(rows)
-        ncols = len(rows[0]) if rows else 0
-        return cls(field, nrows, ncols, rows)
-
-    @classmethod
     def zeros(cls, field, nrows, ncols) -> "Matrix":
         zero = field.zero()
         return cls(field, nrows, ncols, [[zero] * ncols for _ in range(nrows)])
@@ -56,11 +49,6 @@ class Matrix:
         return cls(
             field, n, n, [[c if i == j else zero for j in range(n)] for i in range(n)]
         )
-
-    @classmethod
-    def column(cls, field, entries) -> "Matrix":
-        entries = list(entries)
-        return cls(field, len(entries), 1, [[e] for e in entries])
 
     # ---- basic ops ------------------------------------------------------
 
@@ -264,6 +252,56 @@ def iter_matrices(field: FieldDesc, nrows: int, ncols: int) -> Iterator[Matrix]:
     for flat in itertools.product(elems, repeat=nrows * ncols):
         rows = [flat[i * ncols : (i + 1) * ncols] for i in range(nrows)]
         yield Matrix(field, nrows, ncols, rows)
+
+
+def companion_matrix(f: Poly) -> Matrix:
+    """Multiplication by the variable on the quotient by a monic polynomial."""
+    if not f.is_monic() or f.degree < 1:
+        raise ValueError("companion matrix needs a monic polynomial of degree >= 1")
+    field = f.field
+    e = f.degree
+    zero, one = field.zero(), field.one()
+    rows = [[zero] * e for _ in range(e)]
+    for k in range(e - 1):
+        rows[k + 1][k] = one
+    for k in range(e):
+        rows[k][e - 1] = -f.coeff(k)
+    return Matrix(field, e, e, rows)
+
+
+def iter_span(field: FieldDesc, basis: List[dict]) -> Iterator[dict]:
+    """Every linear combination of a basis of vertexwise maps, fixed order.
+
+    ``basis`` is a non-empty list of dicts vertex -> Matrix over a finite
+    field, all with the same shapes.  Yields the dict vertex -> sum c_i
+    basis[i][vertex] for every coefficient tuple c, in ``itertools.product``
+    order over ``field.enumerate_elements()``, so the zero map comes first.
+    """
+    elems = list(field.enumerate_elements())
+    shapes = {v: (m.nrows, m.ncols) for v, m in basis[0].items()}
+    for combo in itertools.product(elems, repeat=len(basis)):
+        cand = {}
+        for v, (nrows, ncols) in shapes.items():
+            acc = Matrix.zeros(field, nrows, ncols)
+            for c, sol in zip(combo, basis):
+                if not c.is_zero():
+                    acc = acc + sol[v].scale(c)
+            cand[v] = acc
+        yield cand
+
+
+def has_proper_idempotent(field: FieldDesc, basis: List[dict]) -> bool:
+    """Whether the span of an endomorphism basis holds an idempotent other
+    than 0 and 1, by exhaustive search over a finite field (see iter_span)."""
+    ident = {v: Matrix.identity(field, m.nrows) for v, m in basis[0].items()}
+    for cand in iter_span(field, basis):
+        if all(m.is_zero() for m in cand.values()):
+            continue
+        if all(cand[v] == ident[v] for v in cand):
+            continue
+        if all(m * m == m for m in cand.values()):
+            return True
+    return False
 
 
 def iter_invertible(field: FieldDesc, n: int) -> Iterator[Matrix]:

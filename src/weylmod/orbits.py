@@ -94,9 +94,6 @@ class ShiftVector:
             return "0"
         return ",".join(f"{i}:{v}" for i, v in self.entries)
 
-    def to_dict(self) -> Dict[int, int]:
-        return dict(self.entries)
-
 
 ZERO_SHIFT = ShiftVector()
 
@@ -307,9 +304,6 @@ class ResidueField:
         if self._default_tbar is not None:
             return self._default_tbar
         raise IndexOutOfArity(f"no residue data for index {i}")
-
-    def has_level(self, i: int) -> bool:
-        return i in self._level_of
 
     def sigma_pow(self, elem: FieldElem, i: int, e: int) -> FieldElem:
         """Apply sigma_i^e on the residue field: tbar_i |-> tbar_i - e.

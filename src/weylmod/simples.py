@@ -7,8 +7,10 @@ lowering choice on it, and a maximal ideal of a (skew) polynomial algebra over
 the residue field.  Explicit matrices are produced when that algebra is a
 quotient by a principal ideal with finite-dimensional quotient (at most one
 free variable, arity at most two); everything else stays a symbolic
-descriptor.  Maximality of the parametrizing ideal is certified after the
-fact by the exhaustive simplicity oracle.
+descriptor.  Maximality of the parametrizing ideal is checked after the fact
+by the simplicity oracle: a certificate while the module's vectors fit the
+enumeration budget, beyond it only a spanning-set refutation on M and its
+dual (see :func:`weylmod.weightmod.is_simple_finite`).
 """
 
 from __future__ import annotations
@@ -26,9 +28,10 @@ from .errors import (
     WrongCharacteristic,
 )
 from .fields import Poly
-from .linalg import Matrix
+from .linalg import Matrix, companion_matrix
 from .orbits import ZERO_SHIFT, OrbitInfo, ShiftVector, Window, region_of
 from .weightmod import (
+    OUT,
     SkeletonModuleA,
     SkeletonModuleB,
     WeightModule,
@@ -176,14 +179,7 @@ def _single_variable_quotient(info: OrbitInfo, desc: SimpleDescriptor, gen: Poly
         raise QuotientNotFiniteDimensional("unit generator gives the zero quotient")
     if kind == "c" and gen.coeff(0).is_zero():
         raise NotPrincipal("generator needs a nonzero constant term")
-    d = gen.degree
-    zero, one = field.zero(), field.one()
-    rows = [[zero] * d for _ in range(d)]
-    for k in range(d - 1):
-        rows[k + 1][k] = one
-    for k in range(d):
-        rows[k][d - 1] = -gen.coeff(k)
-    return kind, index, d, Matrix(field, d, d, rows)
+    return kind, index, gen.degree, companion_matrix(gen)
 
 
 def build_S_char_p(
@@ -199,8 +195,10 @@ def build_S_char_p(
     Supported range: arity at most 2 and a parametrizing algebra with at most
     one free variable, the maximal ideal given by one principal generator (a
     polynomial in the d-variable, or a Laurent polynomial with invertible
-    ends in the c-variable).  The result is certified simple by the
-    exhaustive oracle unless ``check_simple`` is disabled.
+    ends in the c-variable).  Unless ``check_simple`` is disabled the result
+    is checked by :func:`is_simple_finite`: exhaustively within
+    ``max_vectors``, and beyond it only by a spanning-set refutation on M and
+    M*, which is not a certificate.
     """
     if info.char == 0:
         raise WrongCharacteristic("this construction needs characteristic p")
@@ -252,15 +250,18 @@ def build_S_char_p(
 
 
 def structural_simplicity_certificate(module: WeightModule) -> bool:
-    """Char-0 certificate: support in one region, all interior maps invertible.
+    """Char-0 certificate: one-dimensional weight spaces in one region, all
+    interior maps invertible.
 
-    A module whose nonzero weight spaces all lie in a single region, with
-    every in-window transition between two nonzero spaces invertible, has no
-    proper in-window-stable subspace but the zero one in each region.
+    A module whose nonzero weight spaces are all one-dimensional over the
+    residue field and lie in a single region, with every in-window
+    transition between two nonzero spaces invertible, has no proper
+    in-window-stable subspace but the zero one.  Without the dimension
+    condition a direct sum S + S would pass.
     """
     info = module.info
     support = [g for g in module.window if module.dim(g) > 0]
-    if not support:
+    if not support or any(module.dim(g) != 1 for g in support):
         return False
     regions = {region_of(info, g) for g in support}
     if len(regions) > 1:
@@ -268,7 +269,7 @@ def structural_simplicity_certificate(module: WeightModule) -> bool:
     for gamma in support:
         for i in module.window.indices:
             for mat, s in ((module.x(i, gamma), 1), (module.d(i, gamma), -1)):
-                if mat == "out":
+                if mat == OUT:
                     continue
                 target = info.step(gamma, i, s)
                 if module.dim(target) == 0:

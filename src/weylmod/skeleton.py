@@ -286,9 +286,6 @@ class SkeletonAlgebra:
         # coefficient arithmetic is linear exactly when no direction twists
         self.linear = all(v != "sigma" for v in self.tau.values())
 
-    def tau_action(self) -> TauAction:
-        return TauAction(self.info.residue, self.tau)
-
     def __repr__(self):
         return (
             f"SkeletonAlgebra(kind={self.kind}, breaks={list(self.break_set)}, "

@@ -23,8 +23,8 @@ from .errors import (
     RelationViolation,
     WindowTooSmall,
 )
-from .fields import FieldDesc, FieldElem, Poly, from_kvec, kbasis, to_kvec
-from .linalg import EchelonSpace, Matrix, solve_intertwiners
+from .fields import FieldDesc, FieldElem, Poly, kbasis, to_kvec
+from .linalg import EchelonSpace, Matrix, has_proper_idempotent, solve_intertwiners
 from .orbits import (
     ZERO_SHIFT,
     OrbitInfo,
@@ -699,23 +699,20 @@ class KLinearization:
             out.extend(to_kvec(entry, self.kfield))
         return tuple(out)
 
-    def residue_vec(self, gamma: ShiftVector, kvec) -> tuple:
-        d = self.module.dim(gamma)
-        out = []
-        for s in range(d):
-            out.append(
-                from_kvec(self.residue.desc, kvec[s * self.ext : (s + 1) * self.ext], self.kfield)
-            )
-        return tuple(out)
 
-
-def _closure_kspaces(lin: KLinearization, seeds) -> Dict[ShiftVector, EchelonSpace]:
-    spaces = {
-        g: EchelonSpace(lin.kfield, lin.kdims[g]) for g in lin.module.window
-    }
-    ops_by_source: Dict[ShiftVector, list] = {g: [] for g in lin.module.window}
+def _by_source(lin: KLinearization, dual: bool = False) -> Dict[ShiftVector, list]:
+    """The operators grouped by source weight; ``dual`` transposes them (M*)."""
+    out: Dict[ShiftVector, list] = {g: [] for g in lin.kdims}
     for src, tgt, mat in lin.ops:
-        ops_by_source[src].append((tgt, mat))
+        if dual:
+            src, tgt, mat = tgt, src, mat.transpose()
+        out[src].append((tgt, mat))
+    return out
+
+
+def _spin(kfield, kdims, by_source, seeds) -> Dict[ShiftVector, EchelonSpace]:
+    """Smallest family of subspaces containing the seeds and stable under the ops."""
+    spaces = {g: EchelonSpace(kfield, d) for g, d in kdims.items()}
     queue = []
     for gamma, vec in seeds:
         new = spaces[gamma].add(vec)
@@ -723,7 +720,7 @@ def _closure_kspaces(lin: KLinearization, seeds) -> Dict[ShiftVector, EchelonSpa
             queue.append((gamma, new))
     while queue:
         gamma, vec = queue.pop()
-        for tgt, mat in ops_by_source[gamma]:
+        for tgt, mat in by_source[gamma]:
             new = spaces[tgt].add(mat.mul_vec(vec))
             if new is not None:
                 queue.append((tgt, new))
@@ -743,119 +740,83 @@ def submodule_closure(module: WeightModule, seeds) -> dict:
         if len(vec) != module.dim(gamma):
             raise ValueError(f"seed length mismatch at {gamma!r}")
         kseeds.append((gamma, lin.kvec(gamma, vec)))
-    spaces = _closure_kspaces(lin, kseeds)
-    profile = {}
-    for gamma in module.window:
-        kd = spaces[gamma].dim
-        profile[gamma] = kd // lin.ext
+    spaces = _spin(lin.kfield, lin.kdims, _by_source(lin), kseeds)
     return {
-        "profile": profile,
+        "profile": {g: spaces[g].dim // lin.ext for g in module.window},
         "kdim": sum(s.dim for s in spaces.values()),
         "total_kdim": sum(lin.kdims.values()),
-        "full": all(
-            spaces[g].dim == lin.kdims[g] for g in module.window
-        ),
+        "full": all(spaces[g].dim == lin.kdims[g] for g in module.window),
     }
 
 
-def _iter_nonzero_kvectors(field: FieldDesc, length: int):
-    """Nonzero vectors with first nonzero coordinate 1 (one per scalar line)."""
-    elems = list(field.enumerate_elements())
-    one = field.one()
-    zero = field.zero()
-    for lead in range(length):
-        tail = length - lead - 1
-        for rest in itertools.product(elems, repeat=tail):
-            yield tuple([zero] * lead + [one] + list(rest))
+def _iter_lines(kfield: FieldDesc, kdims, weights):
+    """One seed list per scalar line of the sum of the weight spaces.
+
+    Each line is spanned by the vector whose first nonzero coordinate is 1;
+    the seeds are its nonzero pieces at the given weights, in order.
+    """
+    elems = list(kfield.enumerate_elements())
+    zero, one = kfield.zero(), kfield.one()
+    total = sum(kdims[g] for g in weights)
+    for lead in range(total):
+        for rest in itertools.product(elems, repeat=total - lead - 1):
+            vec = (zero,) * lead + (one,) + rest
+            seeds, pos = [], 0
+            for g in weights:
+                chunk = vec[pos : pos + kdims[g]]
+                pos += kdims[g]
+                if any(not c.is_zero() for c in chunk):
+                    seeds.append((g, chunk))
+            yield seeds
 
 
-def _split_kvector(lin: KLinearization, weights, vec):
-    seeds = []
-    pos = 0
+def _iter_unit_seeds(kfield: FieldDesc, kdims, weights):
+    """One seed list per standard basis vector of each weight space."""
+    zero, one = kfield.zero(), kfield.one()
     for g in weights:
-        d = lin.kdims[g]
-        chunk = vec[pos : pos + d]
-        pos += d
-        if any(not c.is_zero() for c in chunk):
-            seeds.append((g, tuple(chunk)))
-    return seeds
+        for s in range(kdims[g]):
+            yield [(g, tuple(one if t == s else zero for t in range(kdims[g])))]
 
 
 def is_simple_finite(module: WeightModule, *, max_vectors: int = 1 << 16) -> bool:
-    """Exhaustive simplicity test for finite-dimensional modules.
+    """Simplicity test for finite-dimensional modules.
 
-    Enumerates one vector per scalar line when the total number of vectors
-    fits the budget; beyond it, falls back to generating from a spanning set
-    and the same check on the transposed (dual) operators.  Infinite modules
-    (window truncations in characteristic zero) can only be refuted: a proper
-    closure returns False, otherwise the question is not decidable here.
+    When the total number of vectors fits the budget, one vector per scalar
+    line is spun and a True answer is a certificate.  Beyond the budget only
+    the standard basis vectors of M and of the dual module M* (the transposed
+    operators) are spun: a proper closure refutes simplicity, but a True
+    answer is merely the absence of a refutation on that spanning set, not a
+    certificate.  Infinite modules (window truncations in characteristic
+    zero) can only be refuted: a proper closure returns False, otherwise the
+    question is not decidable here.
     """
     lin = KLinearization(module)
     weights = [g for g in module.window if lin.kdims[g] > 0]
-    total = sum(lin.kdims[g] for g in weights)
-    if total == 0:
+    if not weights:
         return False
     kfield = lin.kfield
     truncated = module.has_out_tags()
 
-    def closure_full(seeds):
-        spaces = _closure_kspaces(lin, seeds)
-        return all(spaces[g].dim == lin.kdims[g] for g in weights)
-
-    order = kfield.order()
-    if not truncated and order is not None and order ** total <= max_vectors:
-        for vec in _iter_nonzero_kvectors(kfield, total):
-            if not closure_full(_split_kvector(lin, weights, vec)):
+    def all_full(by_source, seed_lists):
+        for seeds in seed_lists:
+            spaces = _spin(kfield, lin.kdims, by_source, seeds)
+            if any(spaces[g].dim < lin.kdims[g] for g in weights):
                 return False
         return True
 
+    order = kfield.order()
+    total = sum(lin.kdims[g] for g in weights)
+    if not truncated and order is not None and order ** total <= max_vectors:
+        return all_full(_by_source(lin), _iter_lines(kfield, lin.kdims, weights))
+
     # spanning-set refutation: any proper closure disproves simplicity
-    zero = kfield.zero()
-    one = kfield.one()
-    for g in weights:
-        for s in range(lin.kdims[g]):
-            vec = tuple(one if t == s else zero for t in range(lin.kdims[g]))
-            if not closure_full([(g, vec)]):
-                return False
+    if not all_full(_by_source(lin), _iter_unit_seeds(kfield, lin.kdims, weights)):
+        return False
     if truncated or order is None:
         raise InfiniteDimension(
             "cannot certify simplicity beyond the window; no proper closure found"
         )
-    # dual-module check: transpose every operator and test the spanning set
-    dual = [(tgt, src, mat.transpose()) for src, tgt, mat in lin.ops]
-
-    def dual_closure_full(seeds):
-        spaces = {g: EchelonSpace(kfield, lin.kdims[g]) for g in module.window}
-        ops_by_source: Dict[ShiftVector, list] = {g: [] for g in module.window}
-        for src, tgt, mat in dual:
-            ops_by_source[src].append((tgt, mat))
-        queue = []
-        for gamma, v in seeds:
-            new = spaces[gamma].add(v)
-            if new is not None:
-                queue.append((gamma, new))
-        while queue:
-            gamma, v = queue.pop()
-            for tgt, mat in ops_by_source[gamma]:
-                new = spaces[tgt].add(mat.mul_vec(v))
-                if new is not None:
-                    queue.append((tgt, new))
-        return all(spaces[g].dim == lin.kdims[g] for g in weights)
-
-    for g in weights:
-        for s in range(lin.kdims[g]):
-            vec = tuple(one if t == s else zero for t in range(lin.kdims[g]))
-            if not dual_closure_full([(g, vec)]):
-                return False
-    return True
-
-
-def endomorphism_basis(module: WeightModule) -> List[Dict[ShiftVector, Matrix]]:
-    """Basis of the K-linear endomorphism algebra of the windowed module."""
-    lin = KLinearization(module)
-    dims = {g: lin.kdims[g] for g in module.window}
-    constraints = [(src, tgt, mat, mat) for src, tgt, mat in lin.ops]
-    return solve_intertwiners(lin.kfield, dims, constraints)
+    return all_full(_by_source(lin, dual=True), _iter_unit_seeds(kfield, lin.kdims, weights))
 
 
 def _assemble_block_diag(field, weights, dims, sol):
@@ -897,38 +858,22 @@ def is_indecomposable_finite(
     endomorphism algebra certifies indecomposability, and a rational
     eigenvalue split of some endomorphism certifies decomposability.
     """
-    basis = endomorphism_basis(module)
+    lin = KLinearization(module)
+    kfield = lin.kfield
+    dims = lin.kdims
+    weights = list(dims)
+    constraints = [(src, tgt, mat, mat) for src, tgt, mat in lin.ops]
+    basis = solve_intertwiners(kfield, dims, constraints)
     dim_end = len(basis)
     if dim_end == 0:
         return False  # the zero module
-    lin = KLinearization(module)
-    kfield = lin.kfield
-    weights = [g for g in module.window]
-    dims = {g: lin.kdims[g] for g in weights}
     order = kfield.order()
     if order is not None:
         if order ** dim_end > max_endo:
             raise EnumerationBudgetExceeded(
                 f"endomorphism algebra of size {order}**{dim_end} exceeds budget"
             )
-        elems = list(kfield.enumerate_elements())
-        idmats = {g: Matrix.identity(kfield, dims[g]) for g in weights}
-        zeromats = {g: Matrix.zeros(kfield, dims[g], dims[g]) for g in weights}
-        for combo in itertools.product(elems, repeat=dim_end):
-            cand = {}
-            for g in weights:
-                acc = Matrix.zeros(kfield, dims[g], dims[g])
-                for c, sol in zip(combo, basis):
-                    if not c.is_zero():
-                        acc = acc + sol[g].scale(c)
-                cand[g] = acc
-            if all(cand[g] == zeromats[g] for g in weights):
-                continue
-            if all(cand[g] == idmats[g] for g in weights):
-                continue
-            if all(cand[g] * cand[g] == cand[g] for g in weights):
-                return False
-        return True
+        return not has_proper_idempotent(kfield, basis)
     # infinite base field
     if not module.info.tau or all(v == "one" for v in module.info.tau.values()):
         if dim_end == lin.ext:
@@ -942,10 +887,8 @@ def is_indecomposable_finite(
         for root in _rational_roots(kfield, mp):
             linear = Poly(kfield, (-root, kfield.one()))
             quotient = mp
-            mult = 0
             while (quotient % linear).is_zero():
                 quotient = quotient // linear
-                mult += 1
             if quotient.degree >= 1:
                 return False  # coprime factor split gives a nontrivial idempotent
     raise EnumerationBudgetExceeded(

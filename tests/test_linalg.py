@@ -2,7 +2,14 @@ import random
 from fractions import Fraction
 
 from weylmod.fields import GF, QQ, Poly, extend
-from weylmod.linalg import EchelonSpace, Matrix, iter_invertible, iter_matrices, solve_intertwiners
+from weylmod.linalg import (
+    EchelonSpace,
+    Matrix,
+    iter_invertible,
+    iter_matrices,
+    iter_span,
+    solve_intertwiners,
+)
 
 F2 = GF(2)
 F5 = GF(5)
@@ -65,6 +72,27 @@ def test_poly_eval_cayley_hamilton_style():
     mat = companion_matrix(f)
     assert mat.poly_eval(f).is_zero()
     assert not mat.poly_eval(Poly(F5, [1, 1])).is_zero()
+
+
+def test_companion_matrix_has_one_builder():
+    import weylmod
+    from weylmod import indecomp, linalg
+
+    assert weylmod.companion_matrix is linalg.companion_matrix
+    assert indecomp.companion_matrix is linalg.companion_matrix
+
+
+def test_iter_span_runs_in_product_order():
+    a = {0: Matrix(F2, 1, 2, [[1, 0]]), 1: Matrix.identity(F2, 1)}
+    b = {0: Matrix(F2, 1, 2, [[0, 1]]), 1: Matrix.zeros(F2, 1, 1)}
+    span = list(iter_span(F2, [a, b]))
+    assert [s[0].rows for s in span] == [
+        Matrix(F2, 1, 2, rows).rows for rows in ([[0, 0]], [[0, 1]], [[1, 0]], [[1, 1]])
+    ]
+    assert [s[1].is_zero() for s in span] == [True, True, False, False]
+    # over GF(5) the span of one map is its five multiples, zero first
+    c = {0: Matrix.identity(F5, 2)}
+    assert [s[0] for s in iter_span(F5, [c])] == [c[0].scale(k) for k in range(5)]
 
 
 def test_echelon_space():

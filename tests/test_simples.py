@@ -20,7 +20,7 @@ from weylmod.simples import (
     classify_simples,
     structural_simplicity_certificate,
 )
-from weylmod.weightmod import submodule_closure, verify_relations
+from weylmod.weightmod import direct_sum, submodule_closure, verify_relations
 
 F2 = GF(2)
 F3 = GF(3)
@@ -88,6 +88,13 @@ def test_whole_orbit_simple_scalars():
     one = desc.one()
     assert submodule_closure(module, [(ZERO, (one,))])["full"]
     assert structural_simplicity_certificate(module)
+
+
+def test_structural_certificate_rejects_direct_sum():
+    info = orbit_info(SepMaxIdeal(QQ, 1, {1: Poly(QQ, [Fraction(-1, 2), 1])}))
+    module = build_S_O(info)
+    assert structural_simplicity_certificate(module)
+    assert not structural_simplicity_certificate(direct_sum(module, module))
 
 
 def test_region_simples_a1():

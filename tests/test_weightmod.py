@@ -167,6 +167,54 @@ def test_simplicity_and_indecomposability_oracles():
     assert not is_indecomposable_finite(doubled)
 
 
+def _dimension_six_simple():
+    info = stable_charp_info()
+    field = info.residue.desc
+    return build_S_char_p(
+        info,
+        classify_simples(info)[0],
+        Poly(field, [field.one(), field.one(), field.zero(), field.one()]),
+        check_simple=False,
+    )
+
+
+def test_simplicity_beyond_budget_spins_module_and_dual():
+    # 2**6 vectors exceed a budget of 1: the spanning-set refutation runs on M
+    # and, finding no proper closure there, on the dual module M*
+    module = _dimension_six_simple()
+    assert module.kdim() == 6
+    assert is_simple_finite(module, max_vectors=1)
+    assert not is_simple_finite(direct_sum(module, module), max_vectors=1)
+
+
+def _bug1_module():
+    """GF(5), ideal (t - 1), N = (d - 1)**2: reducible, K-dimension 10."""
+    f5 = GF(5)
+    info = orbit_info(SepMaxIdeal(f5, 1, {1: Poly(f5, [-1, 1])}))
+    desc = classify_simples(info)[1]
+    n_gen = Poly(info.residue.desc, [1, -2, 1])
+    return build_S_char_p(info, desc, n_gen, check_simple=False)
+
+
+def test_bug1_module_has_a_proper_submodule():
+    module = _bug1_module()
+    field = module.field
+    closure = submodule_closure(module, [(ZERO, (field.one(), field.from_int(4)))])
+    assert (module.kdim(), closure["kdim"], closure["full"]) == (10, 5, False)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="beyond the budget only basis vectors of M and M* are spun, which "
+    "misses this submodule; Norton's irreducibility test (MeatAxe, ROADMAP "
+    "item 1) will refute it",
+)
+def test_bug1_simplicity_beyond_budget_refutes_reducible_module():
+    module = _bug1_module()
+    assert 5 ** module.kdim() > 1 << 16
+    assert not is_simple_finite(module)
+
+
 def test_truncated_simplicity_raises_when_undecidable():
     info = half_shift_info(1)
     module = build_S_O(info, make_window(info, radius=2))
