@@ -1,8 +1,9 @@
 """Classifying and building the simple weight modules, both characteristics.
 
 Every build is verified on the spot: the defining relations are checked at
-every window point, and finite modules are certified simple by the
-exhaustive closure oracle.
+every window point, and finite modules are certified simple by Norton's
+test: every line of the smallest weight space, and one vector of the dual,
+must generate the whole module.
 """
 
 from fractions import Fraction

@@ -19,6 +19,7 @@ from .fields import QQ, Poly
 from .linalg import Matrix
 from .orbits import OrbitInfo, SepMaxIdeal, ShiftVector, make_window, orbit_info
 from .simples import build_S_O
+from .weightmod import OUT
 
 
 def default_heisenberg_orbit(shift: Fraction = Fraction(1, 2)) -> OrbitInfo:
@@ -108,16 +109,16 @@ def heisenberg_action_check(
         for s in labels:
             for t in labels:
                 mat_t, mid = op(t, gamma)
-                if mat_t == "out":
+                if mat_t == OUT:
                     continue
                 mat_st, end = op(s, mid)
-                if mat_st == "out":
+                if mat_st == OUT:
                     continue
                 mat_s, mid2 = op(s, gamma)
-                if mat_s == "out":
+                if mat_s == OUT:
                     continue
                 mat_ts, end2 = op(t, mid2)
-                if mat_ts == "out":
+                if mat_ts == OUT:
                     continue
                 first = mat_st * mat_t
                 second = mat_ts * mat_s
@@ -137,7 +138,7 @@ def heisenberg_action_check(
     for gamma in window:
         for s in labels:
             mat, target = op(s, gamma)
-            if mat == "out":
+            if mat == OUT:
                 continue
             grading_checked += 1
             if weight_degree(target) != weight_degree(gamma) + s:

@@ -201,14 +201,12 @@ class Matrix:
         n = self.nrows
         if n == 0:
             return self
+        ident = Matrix.identity(self.field, n)
         aug = Matrix(
             self.field,
             n,
             2 * n,
-            [
-                list(self.rows[i]) + list(Matrix.identity(self.field, n).rows[i])
-                for i in range(n)
-            ],
+            [list(self.rows[i]) + list(ident.rows[i]) for i in range(n)],
         )
         red, pivots = aug.rref()
         if pivots[:n] != list(range(n)):

@@ -8,9 +8,9 @@ the residue field.  Explicit matrices are produced when that algebra is a
 quotient by a principal ideal with finite-dimensional quotient (at most one
 free variable, arity at most two); everything else stays a symbolic
 descriptor.  Maximality of the parametrizing ideal is checked after the fact
-by the simplicity oracle: a certificate while the module's vectors fit the
-enumeration budget, beyond it only a spanning-set refutation on M and its
-dual (see :func:`weylmod.weightmod.is_simple_finite`).
+by the simplicity oracle, Norton's test on the smallest weight space, which
+certifies within the enumeration budget and beyond it refutes or raises
+(see :func:`weylmod.weightmod.is_simple_finite`).
 """
 
 from __future__ import annotations
@@ -196,9 +196,9 @@ def build_S_char_p(
     one free variable, the maximal ideal given by one principal generator (a
     polynomial in the d-variable, or a Laurent polynomial with invertible
     ends in the c-variable).  Unless ``check_simple`` is disabled the result
-    is checked by :func:`is_simple_finite`: exhaustively within
-    ``max_vectors``, and beyond it only by a spanning-set refutation on M and
-    M*, which is not a certificate.
+    is checked by :func:`is_simple_finite`: a proper submodule raises
+    :class:`NotMaximal`, and :class:`EnumerationBudgetExceeded` is raised
+    when none is found but the smallest weight space exceeds ``max_vectors``.
     """
     if info.char == 0:
         raise WrongCharacteristic("this construction needs characteristic p")

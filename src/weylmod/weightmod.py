@@ -749,25 +749,16 @@ def submodule_closure(module: WeightModule, seeds) -> dict:
     }
 
 
-def _iter_lines(kfield: FieldDesc, kdims, weights):
-    """One seed list per scalar line of the sum of the weight spaces.
-
-    Each line is spanned by the vector whose first nonzero coordinate is 1;
-    the seeds are its nonzero pieces at the given weights, in order.
-    """
-    elems = list(kfield.enumerate_elements())
-    zero, one = kfield.zero(), kfield.one()
-    total = sum(kdims[g] for g in weights)
-    for lead in range(total):
-        for rest in itertools.product(elems, repeat=total - lead - 1):
-            vec = (zero,) * lead + (one,) + rest
-            seeds, pos = [], 0
-            for g in weights:
-                chunk = vec[pos : pos + kdims[g]]
-                pos += kdims[g]
-                if any(not c.is_zero() for c in chunk):
-                    seeds.append((g, chunk))
-            yield seeds
+def _iter_lines(lin: KLinearization, gamma: ShiftVector):
+    """One K-vector per residue line of the weight space at gamma (first
+    nonzero residue coordinate 1); the ops include the residue scalars."""
+    residue = lin.residue.desc
+    elems = list(residue.enumerate_elements())
+    zero, one = residue.zero(), residue.one()
+    dim = lin.module.dim(gamma)
+    for lead in range(dim):
+        for rest in itertools.product(elems, repeat=dim - lead - 1):
+            yield lin.kvec(gamma, (zero,) * lead + (one,) + rest)
 
 
 def _iter_unit_seeds(kfield: FieldDesc, kdims, weights):
@@ -779,44 +770,48 @@ def _iter_unit_seeds(kfield: FieldDesc, kdims, weights):
 
 
 def is_simple_finite(module: WeightModule, *, max_vectors: int = 1 << 16) -> bool:
-    """Simplicity test for finite-dimensional modules.
+    """Norton's simplicity test, theta being the projection onto one weight space.
 
-    When the total number of vectors fits the budget, one vector per scalar
-    line is spun and a True answer is a certificate.  Beyond the budget only
-    the standard basis vectors of M and of the dual module M* (the transposed
-    operators) are spun: a proper closure refutes simplicity, but a True
-    answer is merely the absence of a refutation on that spanning set, not a
-    certificate.  Infinite modules (window truncations in characteristic
-    zero) can only be refuted: a proper closure returns False, otherwise the
-    question is not decidable here.
+    With g0 the first weight of smallest nonzero K-dimension d0, M is simple
+    iff every line of M_g0 and one nonzero vector of M*_g0 (the dual module:
+    transposed ops) spin to everything, since a proper submodule either meets
+    M_g0 or has an annihilator containing M*_g0.  ``max_vectors`` bounds the
+    q**d0 vectors of M_g0.  Otherwise the basis vectors of M are spun: a
+    proper closure returns False, else :class:`EnumerationBudgetExceeded`
+    (finite M) or :class:`InfiniteDimension` (a window truncation, or an
+    infinite field) is raised.
     """
     lin = KLinearization(module)
-    weights = [g for g in module.window if lin.kdims[g] > 0]
+    kdims = lin.kdims
+    weights = [g for g in module.window if kdims[g] > 0]
     if not weights:
         return False
     kfield = lin.kfield
-    truncated = module.has_out_tags()
+    by_source = _by_source(lin)
 
-    def all_full(by_source, seed_lists):
-        for seeds in seed_lists:
-            spaces = _spin(kfield, lin.kdims, by_source, seeds)
-            if any(spaces[g].dim < lin.kdims[g] for g in weights):
-                return False
-        return True
+    def full(ops, seeds):
+        spaces = _spin(kfield, kdims, ops, seeds)
+        return all(spaces[g].dim == kdims[g] for g in weights)
 
+    g0 = min(weights, key=kdims.__getitem__)
+    d0 = kdims[g0]
     order = kfield.order()
-    total = sum(lin.kdims[g] for g in weights)
-    if not truncated and order is not None and order ** total <= max_vectors:
-        return all_full(_by_source(lin), _iter_lines(kfield, lin.kdims, weights))
-
-    # spanning-set refutation: any proper closure disproves simplicity
-    if not all_full(_by_source(lin), _iter_unit_seeds(kfield, lin.kdims, weights)):
+    finite = not module.has_out_tags() and order is not None
+    if finite and order ** d0 <= max_vectors:
+        if not all(full(by_source, [(g0, vec)]) for vec in _iter_lines(lin, g0)):
+            return False
+        return full(_by_source(lin, dual=True), [(g0, next(_iter_lines(lin, g0)))])
+    # refutation only: any proper closure disproves simplicity
+    if not all(full(by_source, seeds) for seeds in _iter_unit_seeds(kfield, kdims, weights)):
         return False
-    if truncated or order is None:
-        raise InfiniteDimension(
-            "cannot certify simplicity beyond the window; no proper closure found"
+    if finite:
+        raise EnumerationBudgetExceeded(
+            f"Norton's test needs the {order}**{d0} vectors of the smallest weight "
+            f"space, over the budget of {max_vectors}; no proper closure found"
         )
-    return all_full(_by_source(lin, dual=True), _iter_unit_seeds(kfield, lin.kdims, weights))
+    raise InfiniteDimension(
+        "cannot certify simplicity beyond the window; no proper closure found"
+    )
 
 
 def _assemble_block_diag(field, weights, dims, sol):

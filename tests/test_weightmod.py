@@ -1,15 +1,24 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 
-from weylmod.errors import InfiniteDimension, WindowTooSmall
+from weylmod.errors import (
+    EnumerationBudgetExceeded,
+    InfiniteDimension,
+    NotMaximal,
+    WindowTooSmall,
+)
 from weylmod.fields import GF, QQ, Poly
 from weylmod.linalg import Matrix
 from weylmod.orbits import SepMaxIdeal, ShiftVector, make_window, orbit_info
 from weylmod.simples import build_S_O, build_S_O_p, build_S_char_p, classify_simples
 from weylmod.weightmod import (
     OUT,
+    KLinearization,
     WeightModule,
+    _by_source,
+    _spin,
     direct_sum,
     from_skeleton_module,
     is_indecomposable_finite,
@@ -178,12 +187,13 @@ def _dimension_six_simple():
     )
 
 
-def test_simplicity_beyond_budget_spins_module_and_dual():
-    # 2**6 vectors exceed a budget of 1: the spanning-set refutation runs on M
-    # and, finding no proper closure there, on the dual module M*
+def test_simplicity_beyond_budget_raises_unless_refuted():
+    # 2**d0 vectors of the smallest weight space exceed a budget of 1: only the
+    # refutation by the basis vectors of M runs, and it refutes the direct sum
     module = _dimension_six_simple()
     assert module.kdim() == 6
-    assert is_simple_finite(module, max_vectors=1)
+    with pytest.raises(EnumerationBudgetExceeded, match=r"2\*\*6"):
+        is_simple_finite(module, max_vectors=1)
     assert not is_simple_finite(direct_sum(module, module), max_vectors=1)
 
 
@@ -203,16 +213,18 @@ def test_bug1_module_has_a_proper_submodule():
     assert (module.kdim(), closure["kdim"], closure["full"]) == (10, 5, False)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="beyond the budget only basis vectors of M and M* are spun, which "
-    "misses this submodule; Norton's irreducibility test (MeatAxe, ROADMAP "
-    "item 1) will refute it",
-)
 def test_bug1_simplicity_beyond_budget_refutes_reducible_module():
     module = _bug1_module()
     assert 5 ** module.kdim() > 1 << 16
     assert not is_simple_finite(module)
+
+
+def test_bug1_build_raises_not_maximal():
+    f5 = GF(5)
+    info = orbit_info(SepMaxIdeal(f5, 1, {1: Poly(f5, [-1, 1])}))
+    n_gen = Poly(info.residue.desc, [1, -2, 1])
+    with pytest.raises(NotMaximal):
+        build_S_char_p(info, classify_simples(info)[1], n_gen)
 
 
 def test_truncated_simplicity_raises_when_undecidable():
@@ -336,3 +348,79 @@ def test_charp_degenerate_module_shapes():
             mod = build_S_char_p(info, desc, Poly(field, [field.from_int(-nu), field.one()]))
             assert mod.kdim() == 3
             assert verify_relations(mod).ok
+
+
+def _reference_is_simple(module):
+    """Exhaustive reference oracle: spin one vector per scalar line of all of M.
+
+    Costs (q**kdim - 1)/(q - 1) spins, so only small modules are checked.
+    """
+    lin = KLinearization(module)
+    kdims = lin.kdims
+    weights = [g for g in module.window if kdims[g] > 0]
+    if not weights:
+        return False
+    kfield = lin.kfield
+    by_source = _by_source(lin)
+    elems = list(kfield.enumerate_elements())
+    zero, one = kfield.zero(), kfield.one()
+    total = sum(kdims[g] for g in weights)
+    for lead in range(total):
+        for rest in itertools.product(elems, repeat=total - lead - 1):
+            vec = (zero,) * lead + (one,) + rest
+            seeds, pos = [], 0
+            for g in weights:
+                chunk = vec[pos : pos + kdims[g]]
+                pos += kdims[g]
+                if any(not c.is_zero() for c in chunk):
+                    seeds.append((g, chunk))
+            spaces = _spin(kfield, kdims, by_source, seeds)
+            if any(spaces[g].dim < kdims[g] for g in weights):
+                return False
+    return True
+
+
+def _monic_polys(field, degree, unit_constant):
+    elems = list(field.enumerate_elements())
+    for low in itertools.product(elems, repeat=degree):
+        if not (unit_constant and low[0].is_zero()):
+            yield Poly(field, list(low) + [field.one()])
+
+
+def test_simplicity_agrees_with_exhaustive_reference():
+    # every monic N up to the given degree, irreducible and reducible alike,
+    # for each one-variable family; the modules have at most 5**5 vectors
+    f5 = GF(5)
+    twisted = Poly(F2, [1, 1, 1])
+    cases = [
+        (SepMaxIdeal(F2, 1, {1: Poly(F2, [1, 1])}), 3),
+        (SepMaxIdeal(F3, 1, {1: Poly(F3, [-1, 1])}), 2),
+        (SepMaxIdeal(f5, 1, {1: Poly(f5, [-1, 1])}), 1),
+        (SepMaxIdeal(F2, 1, {1: twisted}), 2),
+        (SepMaxIdeal(F2, 2, {1: twisted, 2: Poly.x(F2)}), 1),
+    ]
+    verdicts = []
+    for ideal, max_degree in cases:
+        info = orbit_info(ideal)
+        residue = info.residue.desc
+        for desc in classify_simples(info):
+            if not desc.variables:
+                params = [None]
+            elif len(desc.variables) == 1:
+                unit_constant = desc.variables[0][0] == "c"
+                params = [
+                    n_gen
+                    for degree in range(1, max_degree + 1)
+                    for n_gen in _monic_polys(residue, degree, unit_constant)
+                ]
+            else:
+                continue
+            for n_gen in params:
+                module = build_S_char_p(info, desc, n_gen, check_simple=False)
+                expected = _reference_is_simple(module)
+                assert is_simple_finite(module) == expected
+                doubled = direct_sum(module, module)
+                assert not _reference_is_simple(doubled)
+                assert not is_simple_finite(doubled)
+                verdicts.append(expected)
+    assert True in verdicts and False in verdicts
