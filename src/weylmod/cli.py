@@ -30,20 +30,32 @@ from .weightmod import (
 DEFAULT_BUDGET = 1 << 22
 
 
+def _int(text, what: str, least: int) -> int:
+    """An integer of at least ``least`` from user input, or SchemaError."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < least:
+        raise SchemaError(f"{what} must be an integer >= {least}, got {text!r}")
+    return value
+
+
 def _budget(args) -> int:
     env = os.environ.get("WEYLMOD_MAX_ENUM")
     if env is not None:
-        return int(env)
-    return getattr(args, "budget", None) or DEFAULT_BUDGET
+        return _int(env, "WEYLMOD_MAX_ENUM", 1)
+    budget = getattr(args, "budget", None)
+    return DEFAULT_BUDGET if budget is None else _int(budget, "--budget", 1)
 
 
 def _load(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except FileNotFoundError as exc:
+    except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # invalid JSON or not UTF-8
         raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -103,7 +115,13 @@ def cmd_simples_build(args):
         n_gen = None
         if args.N is not None:
             raw = args.N
-            data = json.loads(raw) if raw.lstrip().startswith("[") else _load(raw)
+            if raw.lstrip().startswith("["):
+                try:
+                    data = json.loads(raw)
+                except json.JSONDecodeError as exc:
+                    raise SchemaError(f"--N is not valid JSON: {exc}") from exc
+            else:
+                data = _load(raw)
             n_gen = jsonio.poly_from_json(info.residue.desc, data)
         module = sm.build_S_char_p(info, desc, n_gen, max_vectors=_budget(args))
     _emit(jsonio.module_to_json(module))
@@ -180,13 +198,16 @@ def _parse_field(text: str):
     if text in ("q", "qq"):
         return QQ
     if text.startswith("gf"):
-        return GF(int(text[2:]))
-    raise SchemaError(f"unknown field {text!r} (use q or gf<p>)")
+        try:
+            return GF(int(text[2:]))
+        except ValueError:
+            pass
+    raise SchemaError(f"unknown field {text!r} (use q or gf<p> with p prime)")
 
 
 def cmd_oracle_enumerate(args):
     field = _parse_field(args.field)
-    dims_list = [int(x) for x in args.dims.split(",")]
+    dims_list = [_int(x, "each --dims entry", 0) for x in args.dims.split(",")]
     vertices, _ = ind.quiver_layout(args.quiver)
     if len(dims_list) != len(vertices):
         raise SchemaError(
@@ -270,7 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="weylmod",
         description="Exact classification and construction of weight modules.",
     )
-    parser.add_argument("--seed", type=int, default=0, help="seed for sampling checks")
     sub = parser.add_subparsers(dest="command", required=True)
 
     orbit = sub.add_parser("orbit").add_subparsers(dest="sub", required=True)

@@ -417,17 +417,15 @@ def brute_force_indecomposables(
                 raise EnumerationBudgetExceeded(
                     f"base-change count {gl_size} exceeds budget {budget}"
                 )
-            gl_lists = {v: list(iter_invertible(field, dims[v])) for v in vertices}
-            inverses = {v: [g.inverse() for g in gl_lists[v]] for v in vertices}
+            gl_lists = [list(iter_invertible(field, dims[v])) for v in vertices]
         orbit = set()
         best = None
-        for combo in itertools.product(*(range(len(gl_lists[v])) for v in vertices)):
-            g = {v: gl_lists[v][ci] for v, ci in zip(vertices, combo)}
-            ginv = {v: inverses[v][ci] for v, ci in zip(vertices, combo)}
+        for combo in itertools.product(*gl_lists):
+            g = dict(zip(vertices, combo))
             moved = {}
             for name in names:
                 src, tgt = layout[name]
-                moved[name] = g[tgt] * rep.arrows[name] * ginv[src]
+                moved[name] = g[tgt][0] * rep.arrows[name] * g[src][1]
             twisted = QuiverRep(quiver, field, dims, moved)
             code = twisted.encoding()
             orbit.add(code)

@@ -1,11 +1,14 @@
 """Dense exact linear algebra over a FieldDesc.
 
 Matrices are immutable, may have zero rows or columns (needed for maps in and
-out of zero weight spaces), and all arithmetic is exact.
+out of zero weight spaces), and all arithmetic is exact.  ``EchelonSpace`` is
+the one elimination kernel: ``Matrix.rref`` (and through it ``rank``,
+``nullspace`` and ``inverse``) inserts rows into one, as do the closures.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
@@ -167,29 +170,12 @@ class Matrix:
 
     def rref(self) -> Tuple["Matrix", List[int]]:
         """Reduced row echelon form and the list of pivot columns."""
-        rows = [list(r) for r in self.rows]
-        pivots: List[int] = []
-        r = 0
-        for c in range(self.ncols):
-            pivot = None
-            for i in range(r, self.nrows):
-                if not rows[i][c].is_zero():
-                    pivot = i
-                    break
-            if pivot is None:
-                continue
-            rows[r], rows[pivot] = rows[pivot], rows[r]
-            inv = rows[r][c].inverse()
-            rows[r] = [a * inv for a in rows[r]]
-            for i in range(self.nrows):
-                if i != r and not rows[i][c].is_zero():
-                    f = rows[i][c]
-                    rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-            pivots.append(c)
-            r += 1
-            if r == self.nrows:
-                break
-        return Matrix(self.field, self.nrows, self.ncols, rows), pivots
+        space = EchelonSpace(self.field, self.ncols)
+        for row in self.rows:
+            space.add(row)
+        zero = (self.field.zero(),) * self.ncols
+        rows = space.rows + [zero] * (self.nrows - space.dim)
+        return Matrix(self.field, self.nrows, self.ncols, rows), space.pivots
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -302,17 +288,20 @@ def has_proper_idempotent(field: FieldDesc, basis: List[dict]) -> bool:
     return False
 
 
-def iter_invertible(field: FieldDesc, n: int) -> Iterator[Matrix]:
-    if n == 0:
-        yield Matrix.zeros(field, 0, 0)
-        return
+def iter_invertible(field: FieldDesc, n: int) -> Iterator[Tuple[Matrix, Matrix]]:
+    """Every invertible n x n matrix over a finite field with its inverse."""
     for m in iter_matrices(field, n, n):
-        if m.inverse() is not None:
-            yield m
+        inv = m.inverse()
+        if inv is not None:
+            yield m, inv
 
 
 class EchelonSpace:
-    """A growing subspace kept in reduced echelon form, for closures."""
+    """A growing subspace kept in reduced echelon form, rows sorted by pivot.
+
+    This is the one elimination kernel: closures grow one, and
+    ``Matrix.rref`` inserts its rows into one.
+    """
 
     def __init__(self, field: FieldDesc, ambient_dim: int):
         self.field = field
@@ -329,30 +318,26 @@ class EchelonSpace:
         for row, p in zip(self.rows, self.pivots):
             c = vec[p]
             if not c.is_zero():
-                vec = [a - c * b for a, b in zip(vec, row)]
+                vec = [a if b.is_zero() else a - c * b for a, b in zip(vec, row)]
         return tuple(vec)
 
     def add(self, vec: Sequence[FieldElem]) -> Optional[Tuple[FieldElem, ...]]:
         """Insert a vector; returns the reduced new basis vector, or None."""
         red = self.reduce(vec)
-        pivot = None
-        for i, a in enumerate(red):
-            if not a.is_zero():
-                pivot = i
-                break
+        pivot = next((i for i, a in enumerate(red) if not a.is_zero()), None)
         if pivot is None:
             return None
         inv = red[pivot].inverse()
         red = tuple(a * inv for a in red)
-        for i, (row, p) in enumerate(zip(self.rows, self.pivots)):
+        for i, row in enumerate(self.rows):
             c = row[pivot]
             if not c.is_zero():
-                self.rows[i] = tuple(a - c * b for a, b in zip(row, red))
-        self.rows.append(red)
-        self.pivots.append(pivot)
-        order = sorted(range(len(self.pivots)), key=lambda i: self.pivots[i])
-        self.rows = [self.rows[i] for i in order]
-        self.pivots = [self.pivots[i] for i in order]
+                self.rows[i] = tuple(
+                    a if b.is_zero() else a - c * b for a, b in zip(row, red)
+                )
+        at = bisect.bisect(self.pivots, pivot)
+        self.rows.insert(at, red)
+        self.pivots.insert(at, pivot)
         return red
 
     def contains(self, vec: Sequence[FieldElem]) -> bool:

@@ -835,9 +835,8 @@ def _matrix_minpoly(field, mat: Matrix) -> Poly:
         flat_rows = [
             [p.entry(r, c) for p in powers] for r in range(n) for c in range(n)
         ]
-        system = Matrix(field, n * n, len(powers), flat_rows)
-        if system.rank() < len(powers):
-            kernel = system.nullspace()
+        kernel = Matrix(field, n * n, len(powers), flat_rows).nullspace()
+        if kernel:
             coeffs = min(kernel, key=lambda v: sum(1 for x in v if not x.is_zero()))
             return Poly(field, coeffs).monic()
         powers.append(powers[-1] * mat)

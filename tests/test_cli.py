@@ -175,6 +175,12 @@ def test_schema_error_exit_code(tmp_path, capsys):
     missing = tmp_path / "missing.json"
     code, out = run(capsys, "orbit", "info", str(missing))
     assert code == 2
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe")
+    for path in (binary, tmp_path):
+        code, out = run(capsys, "orbit", "info", str(path))
+        assert code == 2
+        assert json.loads(out)["error"]["name"] == "SchemaError"
 
 
 def test_usage_error_exit_code(capsys):
@@ -197,10 +203,33 @@ def test_budget_env_override(capsys, monkeypatch):
     assert code == 0
 
 
-def test_seed_flag_accepted(tmp_path, capsys):
-    path = write(tmp_path, "ideal.json", IDEAL_NONDEG)
-    code, _ = run(capsys, "--seed", "7", "orbit", "info", path)
-    assert code == 0
+ENUMERATE_Q1 = ("oracle", "enumerate", "--quiver", "q1")
+
+
+@pytest.mark.parametrize(
+    "argv, env",
+    [
+        (ENUMERATE_Q1 + ("--field", "gf4", "--dims", "1,1"), None),
+        (ENUMERATE_Q1 + ("--field", "gfx", "--dims", "1,1"), None),
+        (ENUMERATE_Q1 + ("--field", "gf2", "--dims", "1,a"), None),
+        (ENUMERATE_Q1 + ("--field", "gf2", "--dims", "1,-1"), None),
+        (ENUMERATE_Q1 + ("--field", "gf2", "--dims", "1,1", "--budget", "0"), None),
+        (ENUMERATE_Q1 + ("--field", "gf2", "--dims", "1,1"), "abc"),
+        (ENUMERATE_Q1 + ("--field", "gf2", "--dims", "1,1"), "0"),
+        (("simples", "build", "IDEAL", "--which", "0", "--N", "[1,"), None),
+    ],
+    ids=[
+        "field-gf4", "field-gfx", "dims-letter", "dims-negative", "budget-0",
+        "env-abc", "env-0", "N-truncated",
+    ],
+)
+def test_malformed_input_is_a_schema_error(tmp_path, capsys, monkeypatch, argv, env):
+    path = write(tmp_path, "ideal.json", IDEAL_STABLE_F2)
+    if env is not None:
+        monkeypatch.setenv("WEYLMOD_MAX_ENUM", env)
+    code, out = run(capsys, *(path if a == "IDEAL" else a for a in argv))
+    assert code == 2
+    assert json.loads(out)["error"]["name"] == "SchemaError"
 
 
 def test_simples_build_char0_region(tmp_path, capsys):

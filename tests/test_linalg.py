@@ -13,6 +13,7 @@ from weylmod.linalg import (
 
 F2 = GF(2)
 F5 = GF(5)
+F4 = extend(F2, Poly(F2, [1, 1, 1]))
 
 
 def random_matrix(rng, field, r, c):
@@ -110,6 +111,101 @@ def test_echelon_space():
         c = F5.from_int(rng.randint(0, 4))
         combo = [a + c * b for a, b in zip(combo, v)]
     assert space.contains(tuple(combo))
+
+
+def _reference_rref(m):
+    """The column-sweep Gauss-Jordan loop ``Matrix.rref`` used before it ran on
+    ``EchelonSpace``; kept as an independent reference."""
+    rows = [list(r) for r in m.rows]
+    pivots = []
+    r = 0
+    for c in range(m.ncols):
+        pivot = None
+        for i in range(r, m.nrows):
+            if not rows[i][c].is_zero():
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = rows[r][c].inverse()
+        rows[r] = [a * inv for a in rows[r]]
+        for i in range(m.nrows):
+            if i != r and not rows[i][c].is_zero():
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == m.nrows:
+            break
+    return Matrix(m.field, m.nrows, m.ncols, rows), pivots
+
+
+def _reference_nullspace(m):
+    red, pivots = _reference_rref(m)
+    zero, one = m.field.zero(), m.field.one()
+    basis = []
+    for fc in (c for c in range(m.ncols) if c not in pivots):
+        vec = [zero] * m.ncols
+        vec[fc] = one
+        for r, pc in enumerate(pivots):
+            vec[pc] = -red.rows[r][fc]
+        basis.append(tuple(vec))
+    return basis
+
+
+def _reference_inverse(m):
+    n = m.nrows
+    ident = Matrix.identity(m.field, n)
+    aug = Matrix(m.field, n, 2 * n, [m.rows[i] + ident.rows[i] for i in range(n)])
+    red, pivots = _reference_rref(aug)
+    if pivots[:n] != list(range(n)):
+        return None
+    return Matrix(m.field, n, n, [row[n:] for row in red.rows])
+
+
+def _sparse_matrix(rng, field, r, c):
+    """A random matrix with about 40% zero entries."""
+    if field.is_finite():
+        nonzero = [a for a in field.enumerate_elements() if not a.is_zero()]
+        draw = lambda: rng.choice(nonzero)
+    else:
+        draw = lambda: Fraction(rng.choice([-1, 1]) * rng.randint(1, 5), rng.randint(1, 4))
+    return Matrix(
+        field, r, c, [[0 if rng.random() < 0.4 else draw() for _ in range(c)] for _ in range(r)]
+    )
+
+
+def test_rref_kernel_matches_column_sweep_reference():
+    rng = random.Random(11)
+    for field in (QQ, F2, F5, F4):
+        for r in range(7):
+            for c in range(7):
+                for _ in range(3):
+                    m = _sparse_matrix(rng, field, r, c)
+                    red, pivots = m.rref()
+                    ref_red, ref_pivots = _reference_rref(m)
+                    assert red.rows == ref_red.rows and pivots == ref_pivots
+                    assert m.rank() == len(ref_pivots)
+                    assert m.nullspace() == _reference_nullspace(m)
+                    if r == c:
+                        assert m.inverse() == _reference_inverse(m)
+
+
+def test_echelon_pivots_stay_strictly_increasing():
+    rng = random.Random(12)
+    for field in (QQ, F2, F5, F4):
+        space = EchelonSpace(field, 6)
+        for _ in range(10):
+            space.add(_sparse_matrix(rng, field, 1, 6).rows[0])
+            assert all(a < b for a, b in zip(space.pivots, space.pivots[1:]))
+            assert all(row[p] == field.one() for row, p in zip(space.rows, space.pivots))
+
+
+def test_iter_invertible_pairs_each_matrix_with_its_inverse():
+    for field, n in ((F2, 2), (GF(3), 2), (F2, 0)):
+        for g, g_inv in iter_invertible(field, n):
+            assert (g * g_inv).is_identity() and (g_inv * g).is_identity()
 
 
 def test_enumeration_sizes():
