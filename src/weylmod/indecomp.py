@@ -23,8 +23,8 @@ from .fields import FieldDesc, Poly, is_irreducible, iter_monic_polys
 from .linalg import (
     Matrix,
     companion_matrix,
+    gl_generators,
     has_proper_idempotent,
-    iter_invertible,
     iter_matrices,
     iter_span,
     solve_intertwiners,
@@ -51,14 +51,28 @@ def quiver_layout(quiver: str):
     raise ValueError(f"unknown quiver {quiver!r}")
 
 
+def _quiver_dims(quiver: str, dims) -> Dict[int, int]:
+    """The dimension at every vertex of the quiver, 0 where dims is silent.
+
+    Raises ValueError on a key that is not a vertex or a negative dimension.
+    """
+    vertices, _ = quiver_layout(quiver)
+    for v, d in dims.items():
+        if v not in vertices:
+            raise ValueError(f"quiver {quiver} has no vertex {v!r}")
+        if int(d) < 0:
+            raise ValueError(f"negative dimension {d} at vertex {v} of quiver {quiver}")
+    return {v: int(dims.get(v, 0)) for v in vertices}
+
+
 class QuiverRep:
     """A representation of one of the two tame-block quivers."""
 
     def __init__(self, quiver: str, field: FieldDesc, dims, arrows, label: str = ""):
-        vertices, layout = quiver_layout(quiver)
+        _, layout = quiver_layout(quiver)
         self.quiver = quiver
         self.field = field
-        self.dims = {v: int(dims.get(v, 0)) for v in vertices}
+        self.dims = _quiver_dims(quiver, dims)
         self.label = label
         self.arrows: Dict[str, Matrix] = {}
         for name, (src, tgt) in layout.items():
@@ -363,26 +377,23 @@ def brute_force_indecomposables(
     """Recount indecomposable classes at one dimension vector from scratch.
 
     Enumerates every relation-satisfying tuple of arrow matrices, partitions
-    them into isomorphism classes by exhaustive base change, and filters to
-    the indecomposable ones by idempotent search.  Representatives are the
-    lexicographically least encodings of their classes, so the output is
-    deterministic.
+    them into isomorphism classes, and filters to the indecomposable ones by
+    idempotent search.  A class is the orbit of the base-change group, the
+    product of GL(d_v) over the vertices, acting by A -> g_tgt A g_src^-1.
+    Each orbit is grown from one member by the generators of ``gl_generators``
+    at each vertex until nothing new appears; in a finite group the products
+    of generators are all of the group, so this closure is the whole orbit.
+    Representatives are the lexicographically least encodings of their
+    classes, so the output is deterministic.
     """
     vertices, layout = quiver_layout(quiver)
-    dims = {v: int(dims.get(v, 0)) for v in vertices}
+    dims = _quiver_dims(quiver, dims)
     order = field.order()
     if order is None:
         raise EnumerationBudgetExceeded("the enumeration oracle needs a finite field")
     work = 1
     for name, (src, tgt) in layout.items():
         work *= order ** (dims[src] * dims[tgt])
-    gl_size = 1
-    for v in vertices:
-        count = 1
-        d = dims[v]
-        for k in range(d):
-            count *= order ** d - order ** k
-        gl_size *= count
     if work > budget:
         raise EnumerationBudgetExceeded(
             f"enumeration size {work} exceeds budget {budget}"
@@ -399,8 +410,7 @@ def brute_force_indecomposables(
         if check_quiver_relations(rep):
             satisfying.append(rep)
 
-    gl_lists = None
-
+    moves = None
     seen = set()
     classes = []
     for rep in satisfying:
@@ -412,25 +422,35 @@ def brute_force_indecomposables(
             seen.add(enc)
             classes.append(rep)
             continue
-        if gl_lists is None:
-            if gl_size > budget:
-                raise EnumerationBudgetExceeded(
-                    f"base-change count {gl_size} exceeds budget {budget}"
-                )
-            gl_lists = [list(iter_invertible(field, dims[v])) for v in vertices]
-        orbit = set()
-        best = None
-        for combo in itertools.product(*gl_lists):
-            g = dict(zip(vertices, combo))
-            moved = {}
-            for name in names:
-                src, tgt = layout[name]
-                moved[name] = g[tgt][0] * rep.arrows[name] * g[src][1]
-            twisted = QuiverRep(quiver, field, dims, moved)
-            code = twisted.encoding()
-            orbit.add(code)
-            if best is None or code < best[0]:
-                best = (code, twisted)
+        if moves is None:
+            moves = [
+                (v, g, g_inv)
+                for v in vertices
+                for g, g_inv in gl_generators(field, dims[v])
+            ]
+        orbit = {enc}
+        best = (enc, rep)
+        frontier = [rep]
+        while frontier:
+            current = frontier.pop()
+            for v, g, g_inv in moves:
+                # a generator at v moves only the arrows that touch v
+                moved = {}
+                for name, (src, tgt) in layout.items():
+                    mat = current.arrows[name]
+                    if tgt == v:
+                        mat = g * mat
+                    if src == v:
+                        mat = mat * g_inv
+                    moved[name] = mat
+                twisted = QuiverRep(quiver, field, dims, moved)
+                code = twisted.encoding()
+                if code in orbit:
+                    continue
+                orbit.add(code)
+                frontier.append(twisted)
+                if code < best[0]:
+                    best = (code, twisted)
         seen.update(orbit)
         classes.append(best[1])
 

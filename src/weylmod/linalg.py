@@ -238,6 +238,32 @@ def iter_matrices(field: FieldDesc, nrows: int, ncols: int) -> Iterator[Matrix]:
         yield Matrix(field, nrows, ncols, rows)
 
 
+def gl_generators(field: FieldDesc, n: int) -> List[Tuple[Matrix, Matrix]]:
+    """(g, g inverse) pairs that generate GL_n over a finite field.
+
+    The transvections I + E(i, i+1) and I + E(i+1, i) generate SL_n over the
+    prime field; conjugating them by diag(c, 1, ..., 1), c not 0 or 1, gives
+    every entry of the field, and those diagonal elements every determinant.
+    """
+    def elementary(i, j, c):
+        rows = [list(r) for r in Matrix.identity(field, n).rows]
+        rows[i][j] = c
+        return Matrix(field, n, n, rows)
+
+    one = field.one()
+    gens = [
+        (elementary(0, 0, c), elementary(0, 0, c.inverse()))
+        for c in field.enumerate_elements()
+        if n > 0 and not c.is_zero() and c != one
+    ]
+    gens += [
+        (elementary(i, j, one), elementary(i, j, -one))
+        for k in range(n - 1)
+        for i, j in ((k, k + 1), (k + 1, k))
+    ]
+    return gens
+
+
 def companion_matrix(f: Poly) -> Matrix:
     """Multiplication by the variable on the quotient by a monic polynomial."""
     if not f.is_monic() or f.degree < 1:
@@ -286,14 +312,6 @@ def has_proper_idempotent(field: FieldDesc, basis: List[dict]) -> bool:
         if all(m * m == m for m in cand.values()):
             return True
     return False
-
-
-def iter_invertible(field: FieldDesc, n: int) -> Iterator[Tuple[Matrix, Matrix]]:
-    """Every invertible n x n matrix over a finite field with its inverse."""
-    for m in iter_matrices(field, n, n):
-        inv = m.inverse()
-        if inv is not None:
-            yield m, inv
 
 
 class EchelonSpace:

@@ -6,6 +6,8 @@ import pytest
 from weylmod.errors import EnumerationBudgetExceeded, RelationViolation, WrongBreakOrder
 from weylmod.fields import GF, QQ, Poly, extend
 from weylmod.indecomp import (
+    Q1_VERTICES,
+    Q2_VERTICES,
     QuiverRep,
     are_isomorphic,
     band_module,
@@ -20,13 +22,14 @@ from weylmod.indecomp import (
     is_indecomposable_rep,
     q1_indecomposables,
     q2_indecomposables,
+    quiver_layout,
     rep_fingerprint,
     rep_to_weight_module,
     string_module,
     validate_quiver_rep,
     weight_module_to_rep,
 )
-from weylmod.linalg import Matrix
+from weylmod.linalg import Matrix, iter_matrices
 from weylmod.orbits import SepMaxIdeal, ShiftVector, make_window, orbit_info
 from weylmod.simples import structural_simplicity_certificate
 from weylmod.weightmod import (
@@ -183,8 +186,104 @@ def test_oracle_q1_small():
     assert brute_force_indecomposables("q1", F2, {1: 2, 2: 1})["indecomposable_count"] == 0
     with pytest.raises(EnumerationBudgetExceeded):
         brute_force_indecomposables("q1", F2, {1: 3, 2: 3}, budget=100)
+    # 64 arrow tuples fit the budget; |GL(3) x GL(1)| = 168 and the zero
+    # representation's End, 2**10, do not
+    with pytest.raises(EnumerationBudgetExceeded):
+        brute_force_indecomposables("q1", F2, {1: 3, 2: 1}, budget=100)
     with pytest.raises(EnumerationBudgetExceeded):
         brute_force_indecomposables("q1", QQ, {1: 1, 2: 1})
+
+
+def test_unknown_vertex_or_negative_dimension_is_rejected():
+    cases = [
+        ("q1", {0: 1}, "no vertex 0"),
+        ("q1", {1: 1, 2: 1, 3: 5}, "no vertex 3"),
+        ("q1", {1: -1, 2: 1}, "negative dimension -1 at vertex 1"),
+        ("q2", {0: 1, 3: -2}, "negative dimension -2 at vertex 3"),
+    ]
+    for quiver, dims, message in cases:
+        with pytest.raises(ValueError, match=message):
+            brute_force_indecomposables(quiver, F2, dims)
+        with pytest.raises(ValueError, match=message):
+            QuiverRep(quiver, F2, dims, {})
+
+
+def _iter_invertible(field, n):
+    """Every invertible n x n matrix over a finite field with its inverse."""
+    for m in iter_matrices(field, n, n):
+        inv = m.inverse()
+        if inv is not None:
+            yield m, inv
+
+
+def _reference_classes(quiver, field, dims):
+    """Relation-satisfying count and class representatives, found by applying
+    every element of the base-change group to each new representation: the
+    exhaustive reference for the oracle's generator orbits."""
+    vertices, layout = quiver_layout(quiver)
+    names = sorted(layout)
+    candidate_lists = [
+        list(iter_matrices(field, dims[layout[n][1]], dims[layout[n][0]]))
+        for n in names
+    ]
+    satisfying = []
+    for combo in itertools.product(*candidate_lists):
+        rep = QuiverRep(quiver, field, dims, dict(zip(names, combo)))
+        if check_quiver_relations(rep):
+            satisfying.append(rep)
+    gl_lists = None
+    seen = set()
+    classes = []
+    for rep in satisfying:
+        if rep.encoding() in seen:
+            continue
+        if all(m.is_zero() for m in rep.arrows.values()):
+            seen.add(rep.encoding())
+            classes.append(rep)
+            continue
+        if gl_lists is None:
+            gl_lists = [list(_iter_invertible(field, dims[v])) for v in vertices]
+        orbit = set()
+        best = None
+        for combo in itertools.product(*gl_lists):
+            g = dict(zip(vertices, combo))
+            moved = {
+                n: g[layout[n][1]][0] * rep.arrows[n] * g[layout[n][0]][1]
+                for n in names
+            }
+            twisted = QuiverRep(quiver, field, dims, moved)
+            code = twisted.encoding()
+            orbit.add(code)
+            if best is None or code < best[0]:
+                best = (code, twisted)
+        seen.update(orbit)
+        classes.append(best[1])
+    return len(satisfying), classes
+
+
+def test_oracle_orbits_agree_with_gl_enumeration():
+    vectors = [
+        (quiver, field, dict(zip(vertices, d)))
+        for quiver, vertices in (("q1", Q1_VERTICES), ("q2", Q2_VERTICES))
+        for field in (F2, F3)
+        for d in itertools.product(range(4), repeat=len(vertices))
+        if sum(d) <= 3
+    ]
+    vectors += [
+        ("q2", F3, {0: 1, 1: 0, 2: 2, 3: 1}),
+        ("q2", F2, {0: 0, 1: 0, 2: 1, 3: 3}),
+        ("q1", F2, {1: 2, 2: 2}),
+    ]
+    for quiver, field, dims in vectors:
+        res = brute_force_indecomposables(quiver, field, dims)
+        satisfying, classes = _reference_classes(quiver, field, dims)
+        indecomposables = sorted(
+            rep.encoding() for rep in classes if is_indecomposable_rep(rep)
+        )
+        assert res["relation_satisfying"] == satisfying
+        assert res["classes"] == len(classes)
+        assert res["indecomposable_count"] == len(indecomposables)
+        assert [r.encoding() for r in res["representatives"]] == indecomposables
 
 
 def test_oracle_q2_spotcheck():

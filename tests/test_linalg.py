@@ -1,11 +1,12 @@
 import random
 from fractions import Fraction
 
+from test_indecomp import _iter_invertible
 from weylmod.fields import GF, QQ, Poly, extend
 from weylmod.linalg import (
     EchelonSpace,
     Matrix,
-    iter_invertible,
+    gl_generators,
     iter_matrices,
     iter_span,
     solve_intertwiners,
@@ -204,14 +205,38 @@ def test_echelon_pivots_stay_strictly_increasing():
 
 def test_iter_invertible_pairs_each_matrix_with_its_inverse():
     for field, n in ((F2, 2), (GF(3), 2), (F2, 0)):
-        for g, g_inv in iter_invertible(field, n):
+        for g, g_inv in _iter_invertible(field, n):
             assert (g * g_inv).is_identity() and (g_inv * g).is_identity()
 
 
 def test_enumeration_sizes():
     assert len(list(iter_matrices(F2, 2, 1))) == 4
-    assert len(list(iter_invertible(F2, 2))) == 6
-    assert len(list(iter_invertible(F2, 0))) == 1
+    assert len(list(_iter_invertible(F2, 2))) == 6
+    assert len(list(_iter_invertible(F2, 0))) == 1
+
+
+def test_gl_generators_generate_gl():
+    cases = [(field, n) for field in (F2, GF(3), F5, F4) for n in range(3)]
+    cases += [(F2, 3), (GF(3), 3)]
+    for field, n in cases:
+        gens = gl_generators(field, n)
+        for g, g_inv in gens:
+            assert (g * g_inv).is_identity()
+        ident = Matrix.identity(field, n)
+        group = {ident}
+        frontier = [ident]
+        while frontier:
+            m = frontier.pop()
+            for g, _ in gens:
+                h = m * g
+                if h not in group:
+                    group.add(h)
+                    frontier.append(h)
+        q = field.order()
+        expected = 1
+        for k in range(n):
+            expected *= q**n - q**k
+        assert len(group) == expected, (field, n)
 
 
 def test_intertwiner_solver_rectangular():
