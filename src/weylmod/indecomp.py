@@ -12,7 +12,7 @@ that recounts the indecomposable isomorphism classes from scratch.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from .errors import (
     EnumerationBudgetExceeded,
@@ -41,6 +41,13 @@ Q2_ARROWS = {}
 for _l in range(4):
     Q2_ARROWS[f"a{_l}"] = (_l, (_l + 1) % 4)
     Q2_ARROWS[f"b{_l}"] = ((_l + 1) % 4, _l)
+
+# Relations as arrow names: (x, y) says x.y = 0 and (x, y, u, v) says x.y = u.v.
+Q2_RELATIONS = [(f"{x}{l}", f"{y}{l}") for l in range(4) for x, y in ("ab", "ba")]
+Q2_RELATIONS += [
+    (f"a{(l + 1) % 4}", f"a{l}", f"b{(l + 2) % 4}", f"b{(l + 3) % 4}") for l in range(4)
+]
+QUIVER_RELATIONS = {"q1": [("a", "b"), ("b", "a")], "q2": Q2_RELATIONS}
 
 
 def quiver_layout(quiver: str):
@@ -74,6 +81,9 @@ class QuiverRep:
         self.field = field
         self.dims = _quiver_dims(quiver, dims)
         self.label = label
+        for name in arrows:
+            if name not in layout:
+                raise ValueError(f"quiver {quiver} has no arrow {name!r}")
         self.arrows: Dict[str, Matrix] = {}
         for name, (src, tgt) in layout.items():
             mat = arrows.get(name)
@@ -113,22 +123,14 @@ class QuiverRep:
         return f"QuiverRep({tag}, dims={self.dim_vector()})"
 
 
+def _relation_holds(arrows, rel) -> bool:
+    prod = arrows[rel[0]] * arrows[rel[1]]
+    return prod.is_zero() if len(rel) == 2 else prod == arrows[rel[2]] * arrows[rel[3]]
+
+
 def check_quiver_relations(rep: QuiverRep) -> bool:
     """Whether the representation satisfies its quiver's relations."""
-    A = rep.arrows
-    if rep.quiver == "q1":
-        return (A["a"] * A["b"]).is_zero() and (A["b"] * A["a"]).is_zero()
-    for l in range(4):
-        if not (A[f"a{l}"] * A[f"b{l}"]).is_zero():
-            return False
-        if not (A[f"b{l}"] * A[f"a{l}"]).is_zero():
-            return False
-    for l in range(4):
-        lhs = A[f"a{(l + 1) % 4}"] * A[f"a{l}"]
-        rhs = A[f"b{(l + 2) % 4}"] * A[f"b{(l + 3) % 4}"]
-        if lhs != rhs:
-            return False
-    return True
+    return all(_relation_holds(rep.arrows, rel) for rel in QUIVER_RELATIONS[rep.quiver])
 
 
 def validate_quiver_rep(rep: QuiverRep):
@@ -371,14 +373,50 @@ def is_indecomposable_rep(rep: QuiverRep, *, budget: int = 1 << 16) -> bool:
 # ---- brute-force enumeration oracle -----------------------------------------
 
 
+def _iter_satisfying(quiver: str, field: FieldDesc, dims) -> Iterator[Dict[str, Matrix]]:
+    """Every arrow tuple satisfying the quiver's relations, as name -> Matrix.
+
+    Arrows are chosen depth first in layout order (each a_l, then b_l).  Each
+    relation is checked as soon as its last arrow is chosen, once per choice
+    of its candidates; a partial tuple that breaks one is dropped whole.
+    """
+    _, layout = quiver_layout(quiver)
+    names = list(layout)
+    due = {name: [] for name in names}  # each relation under its last arrow
+    for rel in QUIVER_RELATIONS[quiver]:
+        due[max(rel, key=names.index)].append(rel)
+    cands = {n: list(iter_matrices(field, dims[t], dims[s])) for n, (s, t) in layout.items()}
+    known = {}  # ids of a relation's chosen candidates -> whether it holds
+
+    def holds(chosen, rel):
+        key = tuple(id(chosen[n]) for n in rel)
+        if key not in known:
+            known[key] = _relation_holds(chosen, rel)
+        return known[key]
+
+    # a loop: a recursive closure would be a reference cycle holding cands
+    chosen, stack = {}, [iter(cands[names[0]])]
+    while stack:
+        name = names[len(stack) - 1]
+        chosen[name] = next(stack[-1], None)
+        if chosen[name] is None:  # every candidate for this arrow is tried
+            stack.pop()
+        elif all(holds(chosen, rel) for rel in due[name]):
+            if len(stack) == len(names):
+                yield dict(chosen)
+            else:
+                stack.append(iter(cands[names[len(stack)]]))
+
+
 def brute_force_indecomposables(
     quiver: str, field: FieldDesc, dims, *, budget: int = 1 << 22
 ) -> dict:
     """Recount indecomposable classes at one dimension vector from scratch.
 
-    Enumerates every relation-satisfying tuple of arrow matrices, partitions
-    them into isomorphism classes, and filters to the indecomposable ones by
-    idempotent search.  A class is the orbit of the base-change group, the
+    Enumerates the relation-satisfying arrow tuples (``_iter_satisfying``
+    prunes a partial tuple once it breaks a relation), partitions them into
+    isomorphism classes, and filters to the indecomposable ones by idempotent
+    search.  A class is the orbit of the base-change group, the
     product of GL(d_v) over the vertices, acting by A -> g_tgt A g_src^-1.
     Each orbit is grown from one member by the generators of ``gl_generators``
     at each vertex until nothing new appears; in a finite group the products
@@ -399,21 +437,13 @@ def brute_force_indecomposables(
             f"enumeration size {work} exceeds budget {budget}"
         )
 
-    names = sorted(layout)
-    candidate_lists = [
-        list(iter_matrices(field, dims[layout[name][1]], dims[layout[name][0]]))
-        for name in names
-    ]
-    satisfying = []
-    for combo in itertools.product(*candidate_lists):
-        rep = QuiverRep(quiver, field, dims, dict(zip(names, combo)))
-        if check_quiver_relations(rep):
-            satisfying.append(rep)
-
     moves = None
     seen = set()
     classes = []
-    for rep in satisfying:
+    satisfying = 0
+    for arrows in _iter_satisfying(quiver, field, dims):
+        satisfying += 1
+        rep = QuiverRep(quiver, field, dims, arrows)
         enc = rep.encoding()
         if enc in seen:
             continue
@@ -459,7 +489,7 @@ def brute_force_indecomposables(
     ]
     indecomposables.sort(key=lambda r: r.encoding())
     return {
-        "relation_satisfying": len(satisfying),
+        "relation_satisfying": satisfying,
         "classes": len(classes),
         "indecomposable_count": len(indecomposables),
         "representatives": indecomposables,

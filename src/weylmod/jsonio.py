@@ -283,13 +283,12 @@ def rep_from_json(data) -> QuiverRep:
         _, layout = quiver_layout(quiver)
         dims = {int(v): int(d) for v, d in data["dims"].items()}
         arrows = {}
-        for name, (src, tgt) in layout.items():
-            raw = data.get("arrows", {}).get(name)
-            if raw is None:
-                continue
-            arrows[name] = matrix_from_json(
-                field, raw, dims.get(tgt, 0), dims.get(src, 0)
-            )
+        for name, raw in data.get("arrows", {}).items():
+            # an arrow the quiver lacks is passed on for QuiverRep to reject
+            if name in layout and raw is not None:
+                src, tgt = layout[name]
+                raw = matrix_from_json(field, raw, dims.get(tgt, 0), dims.get(src, 0))
+            arrows[name] = raw
         return QuiverRep(quiver, field, dims, arrows, label=data.get("label", ""))
     except SchemaError:
         raise

@@ -4,6 +4,11 @@ Matrices are immutable, may have zero rows or columns (needed for maps in and
 out of zero weight spaces), and all arithmetic is exact.  ``EchelonSpace`` is
 the one elimination kernel: ``Matrix.rref`` (and through it ``rank``,
 ``nullspace`` and ``inverse``) inserts rows into one, as do the closures.
+
+Only the public constructor ``Matrix(...)`` coerces entries and checks the
+shape; arithmetic, ``transpose``, ``rref``, ``inverse``, ``zeros``,
+``identity``, ``scalar`` and ``iter_matrices`` build their results with the
+trusted ``Matrix._of`` from entries already in the field.
 """
 
 from __future__ import annotations
@@ -34,24 +39,31 @@ class Matrix:
     # ---- constructors ---------------------------------------------------
 
     @classmethod
+    def _of(cls, field: FieldDesc, nrows: int, ncols: int, rows) -> "Matrix":
+        """Trusted constructor: rows is a tuple of tuples of field elements."""
+        mat = object.__new__(cls)
+        object.__setattr__(mat, "field", field)
+        object.__setattr__(mat, "nrows", nrows)
+        object.__setattr__(mat, "ncols", ncols)
+        object.__setattr__(mat, "rows", rows)
+        return mat
+
+    @classmethod
     def zeros(cls, field, nrows, ncols) -> "Matrix":
-        zero = field.zero()
-        return cls(field, nrows, ncols, [[zero] * ncols for _ in range(nrows)])
+        return cls._of(field, nrows, ncols, ((field.zero(),) * ncols,) * nrows)
 
     @classmethod
     def identity(cls, field, n) -> "Matrix":
         zero, one = field.zero(), field.one()
-        return cls(
-            field, n, n, [[one if i == j else zero for j in range(n)] for i in range(n)]
-        )
+        rows = tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
+        return cls._of(field, n, n, rows)
 
     @classmethod
     def scalar(cls, field, n, c) -> "Matrix":
         c = field.elem(c)
         zero = field.zero()
-        return cls(
-            field, n, n, [[c if i == j else zero for j in range(n)] for i in range(n)]
-        )
+        rows = tuple(tuple(c if i == j else zero for j in range(n)) for i in range(n))
+        return cls._of(field, n, n, rows)
 
     # ---- basic ops ------------------------------------------------------
 
@@ -63,20 +75,13 @@ class Matrix:
         self._check(other)
         if self.nrows != other.nrows or self.ncols != other.ncols:
             raise ValueError("shape mismatch in addition")
-        return Matrix(
-            self.field,
-            self.nrows,
-            self.ncols,
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.rows, other.rows)
-            ],
-        )
+        pairs = zip(self.rows, other.rows)
+        rows = tuple(tuple(a + b for a, b in zip(ra, rb)) for ra, rb in pairs)
+        return Matrix._of(self.field, self.nrows, self.ncols, rows)
 
     def __neg__(self):
-        return Matrix(
-            self.field, self.nrows, self.ncols, [[-a for a in r] for r in self.rows]
-        )
+        rows = tuple(tuple(-a for a in r) for r in self.rows)
+        return Matrix._of(self.field, self.nrows, self.ncols, rows)
 
     def __sub__(self, other):
         return self + (-other)
@@ -95,21 +100,19 @@ class Matrix:
         out = []
         for row in self.rows:
             new_row = []
-            for c in range(other.ncols):
+            for col in cols:
                 acc = zero
-                col = cols[c] if cols else ()
                 for a, b in zip(row, col):
                     if not a.is_zero() and not b.is_zero():
                         acc = acc + a * b
                 new_row.append(acc)
-            out.append(new_row)
-        return Matrix(self.field, self.nrows, other.ncols, out)
+            out.append(tuple(new_row))
+        return Matrix._of(self.field, self.nrows, other.ncols, tuple(out))
 
     def scale(self, c) -> "Matrix":
         c = self.field.elem(c)
-        return Matrix(
-            self.field, self.nrows, self.ncols, [[a * c for a in r] for r in self.rows]
-        )
+        rows = tuple(tuple(a * c for a in r) for r in self.rows)
+        return Matrix._of(self.field, self.nrows, self.ncols, rows)
 
     def map_entries(self, fn: Callable[[FieldElem], FieldElem]) -> "Matrix":
         return Matrix(
@@ -119,9 +122,7 @@ class Matrix:
     def transpose(self) -> "Matrix":
         if self.nrows == 0 or self.ncols == 0:
             return Matrix.zeros(self.field, self.ncols, self.nrows)
-        return Matrix(
-            self.field, self.ncols, self.nrows, [list(col) for col in zip(*self.rows)]
-        )
+        return Matrix._of(self.field, self.ncols, self.nrows, tuple(zip(*self.rows)))
 
     def entry(self, i, j) -> FieldElem:
         return self.rows[i][j]
@@ -174,8 +175,8 @@ class Matrix:
         for row in self.rows:
             space.add(row)
         zero = (self.field.zero(),) * self.ncols
-        rows = space.rows + [zero] * (self.nrows - space.dim)
-        return Matrix(self.field, self.nrows, self.ncols, rows), space.pivots
+        rows = tuple(space.rows) + (zero,) * (self.nrows - space.dim)
+        return Matrix._of(self.field, self.nrows, self.ncols, rows), space.pivots
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -185,19 +186,12 @@ class Matrix:
         if self.nrows != self.ncols:
             return None
         n = self.nrows
-        if n == 0:
-            return self
         ident = Matrix.identity(self.field, n)
-        aug = Matrix(
-            self.field,
-            n,
-            2 * n,
-            [list(self.rows[i]) + list(ident.rows[i]) for i in range(n)],
-        )
-        red, pivots = aug.rref()
+        rows = tuple(a + b for a, b in zip(self.rows, ident.rows))
+        red, pivots = Matrix._of(self.field, n, 2 * n, rows).rref()
         if pivots[:n] != list(range(n)):
             return None
-        return Matrix(self.field, n, n, [row[n:] for row in red.rows])
+        return Matrix._of(self.field, n, n, tuple(row[n:] for row in red.rows))
 
     def nullspace(self) -> List[Tuple[FieldElem, ...]]:
         """Basis of the right kernel as row vectors."""
@@ -229,13 +223,10 @@ class Matrix:
 
 def iter_matrices(field: FieldDesc, nrows: int, ncols: int) -> Iterator[Matrix]:
     """All matrices of a given shape over a finite field, fixed order."""
-    if nrows == 0 or ncols == 0:
-        yield Matrix.zeros(field, nrows, ncols)
-        return
     elems = list(field.enumerate_elements())
     for flat in itertools.product(elems, repeat=nrows * ncols):
-        rows = [flat[i * ncols : (i + 1) * ncols] for i in range(nrows)]
-        yield Matrix(field, nrows, ncols, rows)
+        rows = tuple(flat[i * ncols : (i + 1) * ncols] for i in range(nrows))
+        yield Matrix._of(field, nrows, ncols, rows)
 
 
 def gl_generators(field: FieldDesc, n: int) -> List[Tuple[Matrix, Matrix]]:

@@ -125,6 +125,19 @@ def test_indecomp_build(tmp_path, capsys):
     assert json.loads(out)["ok"] is True
 
 
+def test_unknown_arrow_in_rep_is_a_schema_error(tmp_path, capsys):
+    ideal = write(tmp_path, "ideal.json", IDEAL_BREAK2)
+    code, out = run(capsys, "indecomp", "list", ideal, "--max-string", "2", "--max-poly-deg", "1")
+    rep = json.loads(out)["indecomposables"][4]
+    rep["arrows"]["A"] = rep["arrows"].pop("a0")
+    rep_path = write(tmp_path, "rep.json", rep)
+    code, out = run(capsys, "indecomp", "build", ideal, "--rep", rep_path, "--window", "2")
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["name"] == "SchemaError"
+    assert "no arrow 'A'" in error["message"]
+
+
 def test_oracle_enumerate(capsys):
     code, out = run(
         capsys, "oracle", "enumerate", "--quiver", "q1", "--field", "gf2", "--dims", "1,1"

@@ -208,6 +208,69 @@ def test_unknown_vertex_or_negative_dimension_is_rejected():
             QuiverRep(quiver, F2, dims, {})
 
 
+def test_unknown_arrow_name_is_rejected():
+    with pytest.raises(ValueError, match="quiver q1 has no arrow 'A'"):
+        QuiverRep("q1", F2, {1: 1, 2: 1}, {"A": Matrix.identity(F2, 1)})
+    with pytest.raises(ValueError, match="quiver q2 has no arrow 'a4'"):
+        QuiverRep("q2", F2, {0: 1, 1: 1}, {"a0": Matrix.identity(F2, 1), "a4": None})
+
+
+def _reference_check_relations(rep):
+    """The relations of q1 and q2 written out by hand: the reference for the
+    table-driven check_quiver_relations."""
+    A = rep.arrows
+    if rep.quiver == "q1":
+        return (A["a"] * A["b"]).is_zero() and (A["b"] * A["a"]).is_zero()
+    for l in range(4):
+        if not (A[f"a{l}"] * A[f"b{l}"]).is_zero():
+            return False
+        if not (A[f"b{l}"] * A[f"a{l}"]).is_zero():
+            return False
+    for l in range(4):
+        lhs = A[f"a{(l + 1) % 4}"] * A[f"a{l}"]
+        rhs = A[f"b{(l + 2) % 4}"] * A[f"b{(l + 3) % 4}"]
+        if lhs != rhs:
+            return False
+    return True
+
+
+def _all_arrow_tuples(quiver, field, dims):
+    _, layout = quiver_layout(quiver)
+    names = sorted(layout)
+    candidate_lists = [
+        list(iter_matrices(field, dims[layout[n][1]], dims[layout[n][0]]))
+        for n in names
+    ]
+    for combo in itertools.product(*candidate_lists):
+        yield QuiverRep(quiver, field, dims, dict(zip(names, combo)))
+
+
+def test_relation_table_agrees_with_reference():
+    for quiver, field, dims in [
+        ("q1", F2, {1: 2, 2: 1}),
+        ("q1", F3, {1: 1, 2: 1}),
+        ("q2", F2, {0: 1, 1: 1, 2: 1, 3: 1}),
+        ("q2", F3, {0: 1, 1: 1, 2: 1, 3: 0}),
+    ]:
+        verdicts = set()
+        for rep in _all_arrow_tuples(quiver, field, dims):
+            verdict = _reference_check_relations(rep)
+            assert check_quiver_relations(rep) == verdict, rep.encoding()
+            verdicts.add(verdict)
+        assert verdicts == {True, False}
+    # the pruned enumeration counts exactly the tuples a plain product keeps
+    for quiver, field, dims in [
+        ("q1", F2, {1: 3, 2: 2}),
+        ("q2", F3, {0: 1, 1: 1, 2: 1, 3: 1}),
+    ]:
+        plain = sum(
+            _reference_check_relations(rep)
+            for rep in _all_arrow_tuples(quiver, field, dims)
+        )
+        res = brute_force_indecomposables(quiver, field, dims)
+        assert res["relation_satisfying"] == plain
+
+
 def _iter_invertible(field, n):
     """Every invertible n x n matrix over a finite field with its inverse."""
     for m in iter_matrices(field, n, n):

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import pytest
 from test_indecomp import _iter_invertible
 from weylmod.fields import GF, QQ, Poly, extend
 from weylmod.linalg import (
@@ -237,6 +238,47 @@ def test_gl_generators_generate_gl():
         for k in range(n):
             expected *= q**n - q**k
         assert len(group) == expected, (field, n)
+
+
+def _assert_same_as_public(m):
+    """m equals, and hashes like, its entries passed through Matrix(...)."""
+    public = Matrix(m.field, m.nrows, m.ncols, [list(r) for r in m.rows])
+    assert m == public and hash(m) == hash(public)
+    assert type(m.rows) is tuple and all(type(r) is tuple for r in m.rows)
+    assert len(m.rows) == m.nrows and all(len(r) == m.ncols for r in m.rows)
+    assert all(a.field == m.field for r in m.rows for a in r)
+
+
+def test_computed_matrices_match_public_construction():
+    rng = random.Random(13)
+    shapes = [(0, 0), (0, 2), (2, 0), (1, 1), (2, 3), (3, 3)]
+    for field in (QQ, F2, F5, F4):
+        for r, c in shapes:
+            a, b = random_matrix(rng, field, r, c), random_matrix(rng, field, r, c)
+            right = random_matrix(rng, field, c, 2)
+            s = random_matrix(rng, field, 1, 1).rows[0][0]
+            results = [a + b, a - b, -a, a * right, a.scale(s), a * s, a.transpose()]
+            results += [a.rref()[0], Matrix.zeros(field, r, c), Matrix.identity(field, r)]
+            results.append(Matrix.scalar(field, r, s))
+            inverses = [m.inverse() for m in (a, b) if r == c]
+            if field.is_finite():
+                inverses += [g.inverse() for g, _ in gl_generators(field, r)]
+            results += [m for m in inverses if m is not None]
+            for m in results:
+                _assert_same_as_public(m)
+    for field, r, c in ((F2, 2, 2), (F4, 1, 2), (GF(3), 0, 2), (F5, 2, 0)):
+        for m in iter_matrices(field, r, c):
+            _assert_same_as_public(m)
+
+
+def test_public_constructor_coerces_and_checks_shape():
+    m = Matrix(QQ, 1, 3, [[2, Fraction(1, 2), QQ.from_int(-1)]])
+    assert m.rows == ((QQ.from_int(2), QQ.from_fraction(Fraction(1, 2)), QQ.from_int(-1)),)
+    t = Matrix(F4, 1, 2, [[F2.one(), 1]])
+    assert all(a.field == F4 for a in t.rows[0]) and t.rows[0] == (F4.one(), F4.one())
+    for nrows, ncols, rows in ((2, 2, [[1, 2], [3]]), (2, 2, [[1, 2]]), (1, 2, [[1, 2, 3]])):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            Matrix(F5, nrows, ncols, rows)
 
 
 def test_intertwiner_solver_rectangular():
