@@ -6,11 +6,17 @@ canonical form (reduced fraction, least residue, or reduced coefficient tuple
 with trailing zeros stripped) so equality is representational equality.
 There is no floating point anywhere; every identity checked by this package
 holds exactly or not at all.
+
+Polynomial arithmetic, on extension elements and on ``Poly`` alike, runs on one
+kernel over stripped coefficient tuples: ``_tup_add``, ``_tup_mul``,
+``_tup_divmod`` and ``_tup_invmod``.  Only the public ``Poly(...)`` coerces its
+coefficients; computed polynomials are built with the trusted ``Poly._of``.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from typing import Iterator, Optional, Union
 
@@ -273,14 +279,7 @@ class FieldElem:
         self._check(other)
         k = self.field.kind
         if k == _EXTENSION:
-            a, b = self.value, other.value
-            n = max(len(a), len(b))
-            zero = self.field.base.zero()
-            out = tuple(
-                (a[i] if i < len(a) else zero) + (b[i] if i < len(b) else zero)
-                for i in range(n)
-            )
-            return FieldElem(self.field, _strip(out))
+            return FieldElem(self.field, _tup_add(self.value, other.value))
         if k == _PRIME:
             return FieldElem(self.field, (self.value + other.value) % self.field.p)
         return FieldElem(self.field, self.value + other.value)
@@ -300,9 +299,8 @@ class FieldElem:
         self._check(other)
         k = self.field.kind
         if k == _EXTENSION:
-            return FieldElem(
-                self.field, _poly_mulmod(self.field, self.value, other.value)
-            )
+            product = _tup_mul(self.value, other.value)
+            return FieldElem(self.field, _tup_divmod(product, self.field.modulus.coeffs)[1])
         if k == _PRIME:
             return FieldElem(self.field, (self.value * other.value) % self.field.p)
         return FieldElem(self.field, self.value * other.value)
@@ -315,7 +313,7 @@ class FieldElem:
             return FieldElem(self.field, 1 / self.value)
         if k == _PRIME:
             return FieldElem(self.field, pow(self.value, self.field.p - 2, self.field.p))
-        return FieldElem(self.field, _poly_invmod(self.field, self.value))
+        return FieldElem(self.field, _tup_invmod(self.value, self.field.modulus.coeffs))
 
     def __truediv__(self, other):
         return self * other.inverse()
@@ -397,83 +395,64 @@ class FieldElem:
         return "[" + ",".join(repr(c) for c in self.value) + "]"
 
 
-# ---- raw coefficient-tuple arithmetic used by extension elements --------
+# ---- the polynomial kernel -------------------------------------------------
+#
+# A polynomial is the tuple of its ascending coefficients, all elements of one
+# field, with no trailing zero; ``()`` is the zero polynomial.
 
 
-def _tup_mul(base: FieldDesc, a: tuple, b: tuple) -> tuple:
+def _tup_add(a: tuple, b: tuple) -> tuple:
+    if len(a) < len(b):
+        a, b = b, a
+    return _strip(tuple(x + y for x, y in zip(a, b)) + a[len(b) :])
+
+
+def _tup_mul(a: tuple, b: tuple) -> tuple:
     if not a or not b:
         return ()
-    zero = base.zero()
-    out = [zero] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x.is_zero():
-            continue
-        for j, y in enumerate(b):
-            out[i + j] = out[i + j] + x * y
+    out = []
+    for k in range(len(a) + len(b) - 1):
+        lo, hi = max(0, k - len(b) + 1), min(k, len(a) - 1)
+        acc = a[lo] * b[k - lo]
+        for i in range(lo + 1, hi + 1):
+            acc = acc + a[i] * b[k - i]
+        out.append(acc)
     return _strip(tuple(out))
 
 
-def _tup_mod(base: FieldDesc, a: tuple, m: tuple) -> tuple:
-    # m monic
-    a = list(a)
+def _tup_divmod(a: tuple, m: tuple) -> tuple:
+    """Quotient and remainder of a by the nonzero m."""
     dm = len(m) - 1
-    while len(a) - 1 >= dm and a:
-        lead = a[-1]
-        shift = len(a) - 1 - dm
-        if not lead.is_zero():
+    dq = len(a) - 1 - dm
+    if dq < 0:
+        return (), a
+    # extension moduli are monic, and a monic divisor needs no inverse
+    inv_lead = None if m[-1].is_one() else m[-1].inverse()
+    rem = list(a)
+    quot = [None] * (dq + 1)
+    for k in range(dq, -1, -1):
+        c = rem[k + dm] if inv_lead is None else rem[k + dm] * inv_lead
+        quot[k] = c
+        if not c.is_zero():
             for i in range(dm):
-                a[shift + i] = a[shift + i] - lead * m[i]
-        a.pop()
-    return _strip(tuple(a))
+                rem[k + i] = rem[k + i] - c * m[i]
+    return _strip(tuple(quot)), _strip(tuple(rem[:dm]))
 
 
-def _poly_mulmod(field: FieldDesc, a: tuple, b: tuple) -> tuple:
-    base = field.base
-    return _tup_mod(base, _tup_mul(base, a, b), field.modulus.coeffs)
+def _tup_invmod(a: tuple, m: tuple) -> tuple:
+    """The inverse of the nonzero a modulo m, by extended Euclid.
 
-
-def _poly_invmod(field: FieldDesc, a: tuple) -> tuple:
-    # extended Euclid in base[x] against the (monic, irreducible) modulus
-    base = field.base
-    m = field.modulus.coeffs
-
-    def degree(t):
-        return len(t) - 1
-
-    def scale(t, c):
-        return _strip(tuple(x * c for x in t))
-
-    def sub(t, u):
-        n = max(len(t), len(u))
-        zero = base.zero()
-        return _strip(
-            tuple(
-                (t[i] if i < len(t) else zero) - (u[i] if i < len(u) else zero)
-                for i in range(n)
-            )
-        )
-
-    def shift_mul(t, k, c):
-        return tuple([base.zero()] * k) + scale(t, c)
-
+    The Bezout coefficient has degree below deg(m), so it needs no reduction.
+    """
     r0, r1 = m, a
-    s0, s1 = (), (base.one(),)
+    s0, s1 = (), (a[0].field.one(),)
     while r1:
-        # divide r0 by r1
-        q_acc = ()
-        rem = r0
-        inv_lead = r1[-1].inverse()
-        while rem and degree(rem) >= degree(r1):
-            k = degree(rem) - degree(r1)
-            c = rem[-1] * inv_lead
-            q_acc = sub(q_acc, scale(shift_mul((base.one(),), k, base.one()), -c))
-            rem = sub(rem, shift_mul(r1, k, c))
-        r0, r1 = r1, rem
-        s0, s1 = s1, sub(s0, _tup_mul(base, q_acc, s1))
-    if degree(r0) != 0:
+        q, r = _tup_divmod(r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, _tup_add(s0, tuple(-c for c in _tup_mul(q, s1)))
+    if len(r0) != 1:
         raise ZeroDivisionError("element not invertible; modulus is reducible")
-    c = r0[0].inverse()
-    return _tup_mod(base, scale(s0, c), m)
+    return _tup_mul(s0, (r0[0].inverse(),))
 
 
 class Poly:
@@ -490,12 +469,20 @@ class Poly:
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "coeffs", _strip(elems))
 
+    @classmethod
+    def _of(cls, field: FieldDesc, coeffs: tuple) -> "Poly":
+        """Trusted constructor: coeffs is a kernel tuple over field."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "field", field)
+        object.__setattr__(poly, "coeffs", coeffs)
+        return poly
+
     def __setattr__(self, *args):
         raise AttributeError("Poly is immutable")
 
     @classmethod
     def zero(cls, field):
-        return cls(field, ())
+        return cls._of(field, ())
 
     @classmethod
     def one(cls, field):
@@ -535,11 +522,10 @@ class Poly:
 
     def __add__(self, other):
         self._check(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(self.field, (self.coeff(i) + other.coeff(i) for i in range(n)))
+        return Poly._of(self.field, _tup_add(self.coeffs, other.coeffs))
 
     def __neg__(self):
-        return Poly(self.field, (-c for c in self.coeffs))
+        return Poly._of(self.field, tuple(-c for c in self.coeffs))
 
     def __sub__(self, other):
         return self + (-other)
@@ -548,19 +534,10 @@ class Poly:
         if isinstance(other, FieldElem):
             return self.scale(other)
         self._check(other)
-        if self.is_zero() or other.is_zero():
-            return Poly.zero(self.field)
-        zero = self.field.zero()
-        out = [zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return Poly(self.field, out)
+        return Poly._of(self.field, _tup_mul(self.coeffs, other.coeffs))
 
     def scale(self, c: FieldElem) -> "Poly":
-        return Poly(self.field, (a * c for a in self.coeffs))
+        return Poly._of(self.field, _strip(tuple(a * c for a in self.coeffs)))
 
     def __pow__(self, n: int) -> "Poly":
         result = Poly.one(self.field)
@@ -576,22 +553,8 @@ class Poly:
         self._check(other)
         if other.is_zero():
             raise DivisionByZeroPoly("division by the zero polynomial")
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
-        if dq < 0:
-            return Poly.zero(self.field), self
-        inv_lead = other.leading().inverse()
-        quot = [self.field.zero()] * (dq + 1)
-        for k in range(dq, -1, -1):
-            if len(rem) - 1 < k + other.degree:
-                continue
-            c = rem[k + other.degree] * inv_lead
-            if c.is_zero():
-                continue
-            quot[k] = c
-            for i, b in enumerate(other.coeffs):
-                rem[k + i] = rem[k + i] - c * b
-        return Poly(self.field, quot), Poly(self.field, rem)
+        quot, rem = _tup_divmod(self.coeffs, other.coeffs)
+        return Poly._of(self.field, quot), Poly._of(self.field, rem)
 
     def __mod__(self, other):
         return divmod(self, other)[1]
@@ -679,45 +642,43 @@ def iter_monic_polys(field: FieldDesc, degree: int) -> Iterator[Poly]:
     elems = list(field.enumerate_elements())
     one = field.one()
     for lower in itertools.product(elems, repeat=degree):
-        yield Poly(field, tuple(lower) + (one,))
+        yield Poly._of(field, tuple(lower) + (one,))
 
 
-def _rational_root_candidates(f: Poly):
-    # integer-cleared polynomial; candidates p/q with p | a0 and q | lead
+# The rational root test divides by trial up to this bound; a polynomial whose
+# integer-cleared end coefficients reach past its square is left undecided, so
+# that a huge constant term cannot stall the test.
+_MAX_TRIAL_DIVISOR = 10**6
+
+
+def _divisors(n: int) -> list:
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return small + [n // d for d in small]
+
+
+def rational_roots(f: Poly) -> Optional[list]:
+    """The rational roots of the nonzero f, ascending, as elements of f.field.
+
+    None when the rational root test cannot decide: a coefficient is not
+    rational, or an end coefficient lies beyond the trial bound.
+    """
     coeffs = [c.as_fraction() for c in f.coeffs]
     if any(c is None for c in coeffs):
         return None
-    lcm = 1
-    for c in coeffs:
-        lcm = lcm * c.denominator // _gcd_int(lcm, c.denominator)
+    lcm = math.lcm(*(c.denominator for c in coeffs))
     ints = [int(c * lcm) for c in coeffs]
-    a0, an = ints[0], ints[-1]
-    if a0 == 0:
-        return [Fraction(0)]
-    cands = set()
-    for p in _divisors(abs(a0)):
-        for q in _divisors(abs(an)):
+    low = next(i for i, a in enumerate(ints) if a)  # f = t^low * g, g(0) != 0
+    a0, an = abs(ints[low]), abs(ints[-1])
+    if max(a0, an) > _MAX_TRIAL_DIVISOR**2:
+        return None
+    denominators = _divisors(an)
+    cands = {Fraction(0)} if low else set()
+    for p in _divisors(a0):
+        for q in denominators:
             cands.add(Fraction(p, q))
             cands.add(Fraction(-p, q))
-    return sorted(cands)
-
-
-def _gcd_int(a, b):
-    while b:
-        a, b = b, a % b
-    return a
-
-
-def _divisors(n: int):
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
+    roots = (f.field.from_fraction(r) for r in sorted(cands))
+    return [r for r in roots if f.eval(r).is_zero()]
 
 
 def is_irreducible(
@@ -730,7 +691,8 @@ def is_irreducible(
 
     Finite fields: exact, by trial division against all monic polynomials of
     degree at most deg(f)/2, guarded by the degree and field-order budgets.
-    Rationals: exact up to degree 3 via the rational root test.  Extension
+    Rationals: exact up to degree 3 via the rational root test, within its
+    trial bound on the end coefficients (beyond it, "unknown").  Extension
     towers over the rationals: degree 1 is exact; otherwise a rational root
     witnesses reducibility, and absent one the answer is "unknown" (the caller
     may assert irreducibility, which marks the result uncertified).
@@ -754,11 +716,9 @@ def is_irreducible(
                     return False
         return True
     # characteristic zero
-    cands = _rational_root_candidates(f)
-    if cands is not None:
-        for r in cands:
-            if f.eval(field.from_fraction(r)).is_zero():
-                return False
+    roots = rational_roots(f)
+    if roots:
+        return False
     if field.kind == _EXTENSION:
         # probe the adjoined generators: catches repeated moduli exactly
         for level in field.tower():
@@ -768,7 +728,7 @@ def is_irreducible(
             for cand in (gen, -gen):
                 if f.eval(cand).is_zero():
                     return False
-    if field.kind == _RATIONALS and f.degree <= 3 and cands is not None:
+    if field.kind == _RATIONALS and f.degree <= 3 and roots is not None:
         return True
     return "unknown"
 

@@ -17,6 +17,7 @@ from .fields import QQ, FieldDesc, FieldElem, GF, Poly, extend
 from .indecomp import QuiverRep, quiver_layout
 from .linalg import Matrix
 from .orbits import (
+    UNBOUNDED,
     OrbitInfo,
     SepMaxIdeal,
     ShiftVector,
@@ -31,6 +32,14 @@ SCHEMA = "weylmod/1"
 
 def dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def _int(value) -> int:
+    """A JSON integer (or integer string) as an int; floats and booleans are
+    rejected, not truncated.  Callers turn the TypeError into a SchemaError."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return int(value)
 
 
 # ---- fields -----------------------------------------------------------------
@@ -55,7 +64,7 @@ def field_from_json(data) -> FieldDesc:
         if kind == "Q":
             return QQ
         if kind == "GF":
-            return GF(int(data["p"]))
+            return GF(_int(data["p"]))
         if kind == "Ext":
             base = field_from_json(data["base"])
             modulus = poly_from_json(base, data["modulus"])
@@ -85,14 +94,14 @@ def elem_from_json(desc: FieldDesc, data) -> FieldElem:
             if isinstance(data, str):
                 num, _, den = data.partition("/")
                 return desc.from_fraction(Fraction(int(num), int(den or "1")))
-            return desc.from_int(int(data))
+            return desc.from_int(_int(data))
         if kind == "GF":
-            return desc.from_int(int(data))
+            return desc.from_int(_int(data))
         if isinstance(data, list):
+            if len(data) > desc.modulus.degree:
+                raise ValueError(f"more than {desc.modulus.degree} coefficients")
             coeffs = tuple(elem_from_json(desc.base, c) for c in data)
-            from .fields import _strip
-
-            return FieldElem(desc, _strip(coeffs))
+            return FieldElem(desc, Poly(desc.base, coeffs).coeffs)
         return desc.elem(elem_from_json(desc.base, data))
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise SchemaError(f"bad element {data!r}: {exc}") from exc
@@ -117,7 +126,7 @@ def shift_to_json(sv: ShiftVector):
 
 def shift_from_json(data) -> ShiftVector:
     try:
-        return ShiftVector({int(i): int(v) for i, v in data.items()})
+        return ShiftVector({int(i): _int(v) for i, v in data.items()})
     except (AttributeError, TypeError, ValueError) as exc:
         raise SchemaError(f"bad shift vector {data!r}: {exc}") from exc
 
@@ -154,7 +163,7 @@ def ideal_to_json(m: SepMaxIdeal):
 def ideal_from_json(data) -> SepMaxIdeal:
     try:
         field = field_from_json(data["field"])
-        arity = data["arity"]
+        arity = data["arity"] if data["arity"] == UNBOUNDED else _int(data["arity"])
         gens = {
             int(i): poly_from_json(field, coeffs)
             for i, coeffs in data.get("generators", {}).items()
@@ -230,13 +239,13 @@ def module_from_json(data) -> WeightModule:
             window = make_window(info)
         else:
             window = make_window(
-                info, radius=int(wdata["radius"]), indices=wdata["indices"]
+                info, radius=_int(wdata["radius"]), indices=wdata["indices"]
             )
         recorded = [shift_from_key(k) for k in data["window"]]
         if sorted(recorded, key=lambda g: g.sort_key()) != list(window.weights):
             raise SchemaError("window weights do not match the window description")
         spaces = {
-            shift_from_key(k): int(v) for k, v in data["spaces"].items()
+            shift_from_key(k): _int(v) for k, v in data["spaces"].items()
         }
         desc = info.residue.desc
         xmat, dmat = {}, {}
@@ -281,7 +290,7 @@ def rep_from_json(data) -> QuiverRep:
         quiver = data["quiver"]
         field = field_from_json(data["field"])
         _, layout = quiver_layout(quiver)
-        dims = {int(v): int(d) for v, d in data["dims"].items()}
+        dims = {int(v): _int(d) for v, d in data["dims"].items()}
         arrows = {}
         for name, raw in data.get("arrows", {}).items():
             # an arrow the quiver lacks is passed on for QuiverRep to reject

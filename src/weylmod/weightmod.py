@@ -23,7 +23,7 @@ from .errors import (
     RelationViolation,
     WindowTooSmall,
 )
-from .fields import FieldDesc, FieldElem, Poly, kbasis, to_kvec
+from .fields import FieldDesc, FieldElem, Poly, kbasis, rational_roots, to_kvec
 from .linalg import EchelonSpace, Matrix, has_proper_idempotent, solve_intertwiners
 from .orbits import (
     ZERO_SHIFT,
@@ -878,7 +878,7 @@ def is_indecomposable_finite(
     ]:
         big = _assemble_block_diag(kfield, weights, dims, sol)
         mp = _matrix_minpoly(kfield, big)
-        for root in _rational_roots(kfield, mp):
+        for root in rational_roots(mp) or ():
             linear = Poly(kfield, (-root, kfield.one()))
             quotient = mp
             while (quotient % linear).is_zero():
@@ -888,17 +888,3 @@ def is_indecomposable_finite(
     raise EnumerationBudgetExceeded(
         "cannot decide indecomposability over an infinite field here"
     )
-
-
-def _rational_roots(field, f: Poly):
-    from .fields import _rational_root_candidates
-
-    cands = _rational_root_candidates(f)
-    if cands is None:
-        return []
-    roots = []
-    for r in cands:
-        el = field.from_fraction(r)
-        if f.eval(el).is_zero():
-            roots.append(el)
-    return roots

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -270,3 +271,25 @@ def test_simples_list_charp(tmp_path, capsys):
     entry = data["simples"][0]
     assert entry["kind"] == "family" and entry["N"] == "symbolic"
     assert entry["presentation"]["generators"][0]["twist"] == "sigma"
+
+
+def test_float_coefficient_is_a_schema_error(tmp_path, capsys):
+    # -0.5 used to be truncated to 0, so the generator read t (a degenerate orbit)
+    ideal = {"field": {"kind": "Q"}, "arity": 1, "generators": {"1": [-0.5, 1]}}
+    code, out = run(capsys, "orbit", "info", write(tmp_path, "ideal.json", ideal))
+    assert code == 2
+    assert json.loads(out)["error"]["name"] == "SchemaError"
+
+
+def test_huge_constant_is_uncertified_not_a_hang(tmp_path, capsys):
+    ideal = {"field": {"kind": "Q"}, "arity": 1, "generators": {"1": [1000000000000000003, 0, 1]}}
+    path = write(tmp_path, "ideal.json", ideal)
+    start = time.perf_counter()
+    code, out = run(capsys, "orbit", "info", path)
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert json.loads(out)["error"]["name"] == "UncertifiedIrreducibility"
+    ideal["certified"] = False
+    code, out = run(capsys, "orbit", "info", write(tmp_path, "asserted.json", ideal))
+    assert code == 0
+    assert json.loads(out)["certified"] is False

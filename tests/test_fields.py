@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from weylmod.fields import (
     kbasis,
     poly_arith,
     poly_shift,
+    rational_roots,
     to_kvec,
 )
 
@@ -230,3 +232,186 @@ def test_canonical_forms():
     # extension canonical form strips trailing zeros
     e = FieldElem(F9, (F3.one(),))
     assert e == F9.one()
+
+
+# ---- the polynomial kernel against the loops it replaced ---------------------
+
+
+def _reference_strip(coeffs):
+    coeffs = list(coeffs)
+    while coeffs and coeffs[-1].is_zero():
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+def _reference_tup_mul(base, a, b):
+    """The schoolbook loop extension elements multiplied with before the kernel."""
+    if not a or not b:
+        return ()
+    out = [base.zero()] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x.is_zero():
+            continue
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return _reference_strip(out)
+
+
+def _reference_tup_mod(base, a, m):
+    """Reduction modulo the monic m, as extension elements did it before the kernel."""
+    a = list(a)
+    dm = len(m) - 1
+    while len(a) - 1 >= dm and a:
+        lead = a[-1]
+        shift = len(a) - 1 - dm
+        if not lead.is_zero():
+            for i in range(dm):
+                a[shift + i] = a[shift + i] - lead * m[i]
+        a.pop()
+    return _reference_strip(a)
+
+
+def _reference_poly_invmod(field, a):
+    """Extended Euclid with its own nested division, as extension inverses ran
+    before the kernel; kept as an independent reference."""
+    base = field.base
+    m = field.modulus.coeffs
+
+    def degree(t):
+        return len(t) - 1
+
+    def scale(t, c):
+        return _reference_strip(tuple(x * c for x in t))
+
+    def sub(t, u):
+        n = max(len(t), len(u))
+        zero = base.zero()
+        return _reference_strip(
+            tuple(
+                (t[i] if i < len(t) else zero) - (u[i] if i < len(u) else zero)
+                for i in range(n)
+            )
+        )
+
+    def shift_mul(t, k, c):
+        return tuple([base.zero()] * k) + scale(t, c)
+
+    r0, r1 = m, a
+    s0, s1 = (), (base.one(),)
+    while r1:
+        q_acc = ()
+        rem = r0
+        inv_lead = r1[-1].inverse()
+        while rem and degree(rem) >= degree(r1):
+            k = degree(rem) - degree(r1)
+            c = rem[-1] * inv_lead
+            q_acc = sub(q_acc, scale(shift_mul((base.one(),), k, base.one()), -c))
+            rem = sub(rem, shift_mul(r1, k, c))
+        r0, r1 = r1, rem
+        s0, s1 = s1, sub(s0, _reference_tup_mul(base, q_acc, s1))
+    if degree(r0) != 0:
+        raise ZeroDivisionError("element not invertible; modulus is reducible")
+    c = r0[0].inverse()
+    return _reference_tup_mod(base, scale(s0, c), m)
+
+
+def _reference_divmod(f, g):
+    """The long-division loop ``Poly.__divmod__`` ran before the kernel."""
+    field = f.field
+    rem = list(f.coeffs)
+    dq = len(rem) - len(g.coeffs)
+    if dq < 0:
+        return Poly.zero(field), f
+    inv_lead = g.leading().inverse()
+    quot = [field.zero()] * (dq + 1)
+    for k in range(dq, -1, -1):
+        if len(rem) - 1 < k + g.degree:
+            continue
+        c = rem[k + g.degree] * inv_lead
+        if c.is_zero():
+            continue
+        quot[k] = c
+        for i, b in enumerate(g.coeffs):
+            rem[k + i] = rem[k + i] - c * b
+    return Poly(field, quot), Poly(field, rem)
+
+
+S2 = extend(QQ, Poly(QQ, [-2, 0, 1]))
+S2S3 = extend(S2, Poly(S2, [-3, 0, 1]), assume_irreducible=True)
+KERNEL_FIELDS = [QQ, F2, GF(5), F4, F9, S2, S2S3]
+KERNEL_IDS = ["QQ", "GF2", "GF5", "F4", "F9", "Q(sqrt2)", "Q(sqrt2)(sqrt3)"]
+
+
+def _random_elem(rng, field):
+    root = field.root_field()
+    if root.is_finite():
+        coords = [root.from_int(rng.randrange(root.p)) for _ in range(field.ext_degree())]
+    else:
+        coords = [
+            QQ.from_fraction(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+            for _ in range(field.ext_degree())
+        ]
+    return from_kvec(field, coords)
+
+
+def _random_kernel_poly(rng, field, max_deg):
+    return Poly(field, [_random_elem(rng, field) for _ in range(rng.randint(0, max_deg) + 1)])
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=KERNEL_IDS)
+def test_kernel_agrees_with_reference(field):
+    rng = random.Random(10)
+    cases = 6 if field is S2S3 else 20
+    for _ in range(cases):
+        f = _random_kernel_poly(rng, field, 5)
+        g = _random_kernel_poly(rng, field, 3)
+        assert (f * g).coeffs == _reference_tup_mul(field, f.coeffs, g.coeffs)
+        if not g.is_zero():
+            assert divmod(f, g) == _reference_divmod(f, g)
+        if field.kind != "Ext":
+            continue
+        x, y = _random_elem(rng, field), _random_elem(rng, field)
+        product = _reference_tup_mul(field.base, x.value, y.value)
+        assert (x * y).value == _reference_tup_mod(field.base, product, field.modulus.coeffs)
+        if not x.is_zero():
+            assert x.inverse().value == _reference_poly_invmod(field, x.value)
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=KERNEL_IDS)
+def test_computed_polys_match_public_construction(field):
+    rng = random.Random(11)
+    for _ in range(6):
+        f = _random_kernel_poly(rng, field, 4)
+        g = _random_kernel_poly(rng, field, 2)
+        c = _random_elem(rng, field)
+        results = [f + g, f - g, f - f, f * g, f.scale(c), f.monic(), f.shift(rng.randint(-3, 3))]
+        if not g.is_zero():
+            results.extend(divmod(f, g))
+        for r in results:
+            public = Poly(field, r.coeffs)
+            assert type(r.coeffs) is tuple
+            assert r == public and hash(r) == hash(public)
+
+
+def test_rational_roots_finds_every_root():
+    f = Poly(QQ, [0, -1, 0, 1])  # t^3 - t
+    assert rational_roots(f) == [QQ.from_int(-1), QQ.zero(), QQ.one()]
+    g = Poly(QQ, [Fraction(-1, 4), 0, 1]) * Poly(QQ, [0, 0, 1])  # (t^2 - 1/4) t^2
+    assert rational_roots(g) == [QQ.from_fraction(Fraction(s, 2)) for s in (-1, 0, 1)]
+    assert rational_roots(Poly(S2, [S2.gen(), 1])) is None  # coefficient sqrt2
+
+
+def test_rational_root_test_is_bounded():
+    from weylmod.errors import UncertifiedIrreducibility
+
+    start = time.perf_counter()
+    huge = Poly(QQ, [1000000000000000003, 0, 1])
+    assert rational_roots(huge) is None
+    assert is_irreducible(huge) == "unknown"
+    with pytest.raises(UncertifiedIrreducibility):
+        extend(QQ, huge)
+    assert extend(QQ, huge, assume_irreducible=True).certified is False
+    assert time.perf_counter() - start < 1.0
+    # within the bound the test still decides
+    assert is_irreducible(Poly(QQ, [-1000003 * 999983, 0, 1])) is True
+    assert is_irreducible(Poly(QQ, [-(999983**2), 0, 1])) is False

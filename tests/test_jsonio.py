@@ -83,3 +83,66 @@ def test_schema_errors():
         jsonio.shift_from_key("oops")
     with pytest.raises(SchemaError):
         jsonio.poly_from_json(QQ, "nope")
+
+
+def _module_json_char0():
+    info = orbit_info(SepMaxIdeal(QQ, 2, {1: Poly.x(QQ), 2: Poly.x(QQ)}))
+    module = build_S_O_p(info, ShiftVector({1: 1}), make_window(info, radius=1))
+    return json.loads(jsonio.dumps(jsonio.module_to_json(module)))
+
+
+def _with(data, path, value):
+    data = json.loads(json.dumps(data))
+    cell = data
+    for key in path[:-1]:
+        cell = cell[key]
+    assert path[-1] in cell
+    cell[path[-1]] = value
+    return data
+
+
+REP = jsonio.rep_to_json(q1_indecomposables(F2)[0])
+IDEAL = {"field": {"kind": "Q"}, "arity": 1, "generators": {"1": ["-1/2", "1/1"]}}
+
+
+@pytest.mark.parametrize(
+    "parse",
+    [
+        lambda: jsonio.elem_from_json(QQ, 0.5),
+        lambda: jsonio.elem_from_json(GF(5), 2.7),
+        lambda: jsonio.elem_from_json(GF(5), True),
+        lambda: jsonio.elem_from_json(F4, [0, 1.0]),
+        lambda: jsonio.shift_from_json({"1": 1.5}),
+        lambda: jsonio.rep_from_json(_with(REP, ["dims", "1"], 1.0)),
+        lambda: jsonio.field_from_json({"kind": "GF", "p": 2.0}),
+        lambda: jsonio.ideal_from_json(_with(IDEAL, ["arity"], True)),
+        lambda: jsonio.module_from_json(_with(_module_json_char0(), ["box", "radius"], 1.0)),
+        lambda: jsonio.module_from_json(_with(_module_json_char0(), ["spaces", "1:1"], 1.0)),
+    ],
+    ids=[
+        "Q-float", "GF-float", "GF-bool", "Ext-float", "shift-float", "rep-dims-float",
+        "field-p-float", "arity-bool", "module-radius-float", "module-spaces-float",
+    ],
+)
+def test_non_integer_numbers_are_schema_errors(parse):
+    with pytest.raises(SchemaError):
+        parse()
+
+
+def test_integer_strings_and_inf_arity_still_parse():
+    assert jsonio.elem_from_json(GF(5), "3") == GF(5).from_int(3)
+    assert jsonio.shift_from_json({"1": "-2"}) == ShiftVector({1: -2})
+    ideal = {
+        "field": {"kind": "Q"},
+        "arity": "inf",
+        "generators": {},
+        "default": ["-1/2", "1/1"],
+    }
+    assert jsonio.ideal_from_json(ideal).arity == "inf"
+
+
+def test_oversized_extension_element_is_a_schema_error():
+    assert jsonio.elem_from_json(F4, [1, 1]) == F4.gen() + F4.one()
+    assert jsonio.elem_from_json(F4, [1, 0]) == F4.one()
+    with pytest.raises(SchemaError):
+        jsonio.elem_from_json(F4, [0, 0, 1])
