@@ -269,7 +269,9 @@ class FieldElem:
         return self.value == 0
 
     def is_one(self) -> bool:
-        return self == self.field.one()
+        if self.field.kind == _EXTENSION:
+            return len(self.value) == 1 and self.value[0].is_one()
+        return self.value == 1
 
     def _check(self, other: "FieldElem"):
         if self.field != other.field:

@@ -19,7 +19,6 @@ from .fields import QQ, Poly
 from .linalg import Matrix
 from .orbits import OrbitInfo, SepMaxIdeal, ShiftVector, make_window, orbit_info
 from .simples import build_S_O
-from .weightmod import OUT
 
 
 def default_heisenberg_orbit(shift: Fraction = Fraction(1, 2)) -> OrbitInfo:
@@ -92,56 +91,36 @@ def heisenberg_action_check(
     module = build_S_O(info, window)
     field = module.field
 
+    # signed labels: positive s is the lowering e_s, negative the raising e_{-|s|}
+    labels = [s for i in indices for s in (i, -i)]
+    step = {s: ("Y", s) if s > 0 else ("X", -s) for s in labels}
+
     bracket_checked = 0
     bracket_failures = []
-    # signed labels: positive s is the lowering e_s, negative the raising e_{-|s|}
-    def op(s, gamma):
-        if s > 0:
-            mat = module.d(s, gamma)
-            step = info.step(gamma, s, -1)
-        else:
-            mat = module.x(-s, gamma)
-            step = info.step(gamma, -s, 1)
-        return mat, step
-
-    labels = [s for i in indices for s in (i, -i)]
-    for gamma in window:
-        for s in labels:
-            for t in labels:
-                mat_t, mid = op(t, gamma)
-                if mat_t == OUT:
-                    continue
-                mat_st, end = op(s, mid)
-                if mat_st == OUT:
-                    continue
-                mat_s, mid2 = op(s, gamma)
-                if mat_s == OUT:
-                    continue
-                mat_ts, end2 = op(t, mid2)
-                if mat_ts == OUT:
-                    continue
-                first = mat_st * mat_t
-                second = mat_ts * mat_s
-                expected = Matrix.zeros(field, module.dim(gamma), module.dim(gamma))
-                if s == -t and s > 0:
-                    expected = Matrix.identity(field, module.dim(gamma))
-                elif s == -t and s < 0:
-                    expected = Matrix.identity(field, module.dim(gamma)).scale(
-                        field.from_int(-1)
-                    )
-                bracket_checked += 1
-                if first - second != expected:
-                    bracket_failures.append({"pair": (s, t), "gamma": gamma})
-
     grading_checked = 0
     grading_failures = []
     for gamma in window:
+        n = module.dim(gamma)
+        zero, ident = Matrix.zeros(field, n, n), Matrix.identity(field, n)
+        minus_ident = ident.scale(field.from_int(-1))
         for s in labels:
-            mat, target = op(s, gamma)
-            if mat == OUT:
+            for t in labels:
+                first = module.walk(gamma, (step[t], step[s]))
+                if first is None:
+                    continue
+                second = module.walk(gamma, (step[s], step[t]))
+                if second is None:
+                    continue
+                bracket_checked += 1
+                expected = zero if s != -t else ident if s > 0 else minus_ident
+                if first[0] - second[0] != expected:
+                    bracket_failures.append({"pair": (s, t), "gamma": gamma})
+        for s in labels:
+            moved = module.walk(gamma, (step[s],))
+            if moved is None:
                 continue
             grading_checked += 1
-            if weight_degree(target) != weight_degree(gamma) + s:
+            if weight_degree(moved[1]) != weight_degree(gamma) + s:
                 grading_failures.append({"label": s, "gamma": gamma})
 
     return {

@@ -239,7 +239,9 @@ def module_from_json(data) -> WeightModule:
             window = make_window(info)
         else:
             window = make_window(
-                info, radius=_int(wdata["radius"]), indices=wdata["indices"]
+                info,
+                radius=_int(wdata["radius"]),
+                indices=[_int(i) for i in wdata["indices"]],
             )
         recorded = [shift_from_key(k) for k in data["window"]]
         if sorted(recorded, key=lambda g: g.sort_key()) != list(window.weights):

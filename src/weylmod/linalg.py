@@ -7,8 +7,9 @@ the one elimination kernel: ``Matrix.rref`` (and through it ``rank``,
 
 Only the public constructor ``Matrix(...)`` coerces entries and checks the
 shape; arithmetic, ``transpose``, ``rref``, ``inverse``, ``zeros``,
-``identity``, ``scalar`` and ``iter_matrices`` build their results with the
-trusted ``Matrix._of`` from entries already in the field.
+``identity``, ``scalar``, ``iter_matrices`` and ``solve_intertwiners`` build
+their results with the trusted ``Matrix._of`` from entries already in the
+field.
 """
 
 from __future__ import annotations
@@ -397,19 +398,18 @@ def solve_intertwiners(
                     if not coef.is_zero():
                         idx = offsets[src] + k * dims_dom[src] + j
                         row[idx] = row[idx] - coef
-                eq_rows.append(row)
+                eq_rows.append(tuple(row))
     if not eq_rows:
-        eq_rows = [[zero] * total]
-    system = Matrix(field, len(eq_rows), total, eq_rows)
+        eq_rows = [(zero,) * total]
+    system = Matrix._of(field, len(eq_rows), total, tuple(eq_rows))
     basis = system.nullspace()
     out = []
     for vec in basis:
         sol = {}
         for k in keys:
             dc, dd = dims_cod[k], dims_dom[k]
-            rows = [
-                [vec[offsets[k] + i * dd + j] for j in range(dd)] for i in range(dc)
-            ]
-            sol[k] = Matrix(field, dc, dd, rows)
+            start = offsets[k]
+            rows = tuple(vec[start + i * dd : start + (i + 1) * dd] for i in range(dc))
+            sol[k] = Matrix._of(field, dc, dd, rows)
         out.append(sol)
     return out

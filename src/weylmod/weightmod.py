@@ -4,7 +4,11 @@ A weight module is stored as one exact matrix per raising/lowering generator
 per window weight, over the residue field of the orbit's base point.  In
 positive characteristic a direction whose shift fixes the base point acts
 semilinearly; such matrices carry an implicit coefficient twist, and every
-composition here routes through :func:`compose_op` which applies it.
+composition here routes through :meth:`WeightModule.compose_op`, which
+applies it.  Paths are words of ("X", i) raising and ("Y", i) lowering steps,
+composed by one walker, :meth:`WeightModule.walk`: ``evaluate_path`` wraps
+it, and :func:`verify_relations` checks each defining relation as a pair of
+words walked from the same weight.
 
 The two functors between weight modules and skeleton modules are exact
 mutually-inverse expansions: interior transitions of an expanded module are
@@ -146,23 +150,40 @@ class WeightModule:
             raise WindowTooSmall(f"lowering step at {gamma!r} leaves the window")
         return (mat, self.d_twist(i))
 
+    def walk(self, gamma: ShiftVector, steps) -> Optional[Tuple[Matrix, ShiftVector]]:
+        """Compose a nonempty word of ("X", i)/("Y", i) steps from ``gamma``.
+
+        ``gamma`` must be a canonical weight of the window.  Returns (matrix,
+        endpoint), the product starting at the first step's operator, or None
+        as soon as a step leaves the window.
+        """
+        acc = None
+        for kind, i in steps:
+            raising = kind == "X"
+            target = self.info.step(gamma, i, 1 if raising else -1)
+            if target not in self.window:
+                return None
+            op = self.op_x(i, gamma) if raising else self.op_d(i, gamma)
+            acc = op if acc is None else self.compose_op(op, acc)
+            gamma = target
+        return acc[0], gamma
+
     def evaluate_path(self, start: ShiftVector, steps) -> Tuple[Matrix, ShiftVector]:
-        """Compose X/Y steps from a start weight; returns (matrix, endpoint)."""
+        """Compose X/Y steps from a start weight; returns (matrix, endpoint).
+
+        The start is canonicalized and must lie in the window; the empty path
+        gives the identity there.  Raises :class:`WindowTooSmall` if the start
+        or any step of the path leaves the window.
+        """
         gamma = self.info.canon_gamma(start)
         if gamma not in self.window:
             raise WindowTooSmall(f"start weight {gamma!r} outside the window")
-        acc = (Matrix.identity(self.field, self.dim(gamma)), {})
-        for kind, i in steps:
-            if kind == "X":
-                op = self.op_x(i, gamma)
-                gamma = self.info.step(gamma, i, 1)
-            else:
-                op = self.op_d(i, gamma)
-                gamma = self.info.step(gamma, i, -1)
-            if gamma not in self.window:
-                raise WindowTooSmall(f"path leaves the window at {gamma!r}")
-            acc = self.compose_op(op, acc)
-        return acc[0], gamma
+        if not steps:
+            return Matrix.identity(self.field, self.dim(gamma)), gamma
+        walked = self.walk(gamma, steps)
+        if walked is None:
+            raise WindowTooSmall(f"path from {gamma!r} leaves the window")
+        return walked
 
     def __eq__(self, other):
         if not isinstance(other, WeightModule):
@@ -242,89 +263,60 @@ class RelationReport:
         return f"RelationReport({status})"
 
 
+def _relation_rows(indices, gamma: ShiftVector):
+    """The relations at one weight as (name, location, word, other word).
+
+    Each word is a path of steps, first step first.  The weight condition has
+    no other word; every other relation compares the two words' operators.
+    """
+    for i in indices:
+        at = {"index": i, "gamma": gamma}
+        xy, yx = (("X", i), ("Y", i)), (("Y", i), ("X", i))
+        yield "weight_condition", at, xy, None
+        yield "same_index_commutator", at, xy, yx
+    for a, b in itertools.combinations(indices, 2):
+        at = {"indices": (a, b), "gamma": gamma}
+        yield "raising_commute", at, (("X", b), ("X", a)), (("X", a), ("X", b))
+        yield "lowering_commute", at, (("Y", b), ("Y", a)), (("Y", a), ("Y", b))
+        for i, j in ((a, b), (b, a)):
+            at = {"indices": (i, j), "gamma": gamma}
+            yield "mixed_commutator", at, (("X", j), ("Y", i)), (("Y", i), ("X", j))
+
+
 def verify_relations(module: WeightModule) -> RelationReport:
     """Check the defining relations at every window point where they close.
 
-    Verifies, wherever all intermediate weights are in-window: the weight
-    condition (the t_i action at each weight is killed by that weight's
-    generator polynomial), the same-index commutator [lower_i, raise_i] = id,
-    commutation of raisings, of lowerings, and the mixed zero commutators.
+    Each relation is a pair of step words (paths, first step first) walked by
+    :meth:`WeightModule.walk` from a window weight, and is checked wherever
+    every step of both words stays in the window:
+
+    - weight_condition: (X i, Y i) alone, the t_i action, is killed by that
+      weight's generator polynomial;
+    - same_index_commutator: (X i, Y i) minus (Y i, X i) is the identity;
+    - raising_commute: (X j, X i) equals (X i, X j), for i < j;
+    - lowering_commute: (Y j, Y i) equals (Y i, Y j), for i < j;
+    - mixed_commutator: (X j, Y i) equals (Y i, X j), for i != j.
     """
     report = RelationReport()
     info = module.info
-    window = module.window
-    idx = window.indices
-
-    def ok_step(gamma, i, s):
-        return info.step(gamma, i, s) in window
-
-    for gamma in window:
-        for i in idx:
-            up = ok_step(gamma, i, 1)
-            down = ok_step(gamma, i, -1)
-            if up:
-                t_op, _ = module.compose_op(
-                    module.op_d(i, info.step(gamma, i, 1)), module.op_x(i, gamma)
-                )
-                gen = info.residue.embed_poly(info.generator_at(gamma, i))
-                ok = t_op.poly_eval(gen).is_zero()
-                report.record("weight_condition", ok, {"index": i, "gamma": gamma})
-            if up and down:
-                dx, _ = module.compose_op(
-                    module.op_d(i, info.step(gamma, i, 1)), module.op_x(i, gamma)
-                )
-                xd, _ = module.compose_op(
-                    module.op_x(i, info.step(gamma, i, -1)), module.op_d(i, gamma)
-                )
-                ident = Matrix.identity(module.field, module.dim(gamma))
-                ok = (dx - xd) == ident
-                report.record(
-                    "same_index_commutator", ok, {"index": i, "gamma": gamma}
-                )
-        for ia, ib in itertools.combinations(idx, 2):
-            up_a = ok_step(gamma, ia, 1)
-            up_b = ok_step(gamma, ib, 1)
-            if up_a and up_b and ok_step(info.step(gamma, ia, 1), ib, 1):
-                lhs = module.compose_op(
-                    module.op_x(ia, info.step(gamma, ib, 1)), module.op_x(ib, gamma)
-                )
-                rhs = module.compose_op(
-                    module.op_x(ib, info.step(gamma, ia, 1)), module.op_x(ia, gamma)
-                )
+    for gamma in module.window:
+        ident = Matrix.identity(module.field, module.dim(gamma))
+        for name, location, word, other in _relation_rows(module.window.indices, gamma):
+            lhs = module.walk(gamma, word)
+            if lhs is None:
+                continue
+            if other is None:
+                gen = info.residue.embed_poly(info.generator_at(gamma, location["index"]))
+                report.record(name, lhs[0].poly_eval(gen).is_zero(), location)
+                continue
+            rhs = module.walk(gamma, other)
+            if rhs is None:
+                continue
+            if name == "same_index_commutator":
+                ok = lhs[0] - rhs[0] == ident
+            else:
                 ok = lhs[0] == rhs[0]
-                report.record(
-                    "raising_commute", ok, {"indices": (ia, ib), "gamma": gamma}
-                )
-            down_a = ok_step(gamma, ia, -1)
-            down_b = ok_step(gamma, ib, -1)
-            if down_a and down_b and ok_step(info.step(gamma, ia, -1), ib, -1):
-                lhs = module.compose_op(
-                    module.op_d(ia, info.step(gamma, ib, -1)), module.op_d(ib, gamma)
-                )
-                rhs = module.compose_op(
-                    module.op_d(ib, info.step(gamma, ia, -1)), module.op_d(ia, gamma)
-                )
-                ok = lhs[0] == rhs[0]
-                report.record(
-                    "lowering_commute", ok, {"indices": (ia, ib), "gamma": gamma}
-                )
-            for i, j in ((ia, ib), (ib, ia)):
-                # [lower_i, raise_j] = 0 for i != j
-                if (
-                    ok_step(gamma, j, 1)
-                    and ok_step(info.step(gamma, j, 1), i, -1)
-                    and ok_step(gamma, i, -1)
-                ):
-                    lhs = module.compose_op(
-                        module.op_d(i, info.step(gamma, j, 1)), module.op_x(j, gamma)
-                    )
-                    rhs = module.compose_op(
-                        module.op_x(j, info.step(gamma, i, -1)), module.op_d(i, gamma)
-                    )
-                    ok = lhs[0] == rhs[0]
-                    report.record(
-                        "mixed_commutator", ok, {"indices": (i, j), "gamma": gamma}
-                    )
+            report.record(name, ok, location)
     return report
 
 
@@ -562,15 +554,8 @@ def to_skeleton_module(module: WeightModule):
             for i in info.break_set:
                 if delta.get(i) != 0:
                     continue
-                up = delta.step(i, 1)
-                mat = module.x(i, delta)
-                if mat == OUT:
-                    raise WindowTooSmall("window misses a crossing transition")
-                a[(delta, i)] = mat
-                mat = module.d(i, up)
-                if mat == OUT:
-                    raise WindowTooSmall("window misses a crossing transition")
-                b[(delta, i)] = mat
+                a[(delta, i)], up = module.evaluate_path(delta, [("X", i)])
+                b[(delta, i)], _ = module.evaluate_path(up, [("Y", i)])
         return SkeletonModuleA(module.field, info.break_set, values, a, b).validate()
 
     amat, bmat, cmat = {}, {}, {}
@@ -676,8 +661,7 @@ class KLinearization:
                 if self.module.info.tau_exponent(i) and e:
                     img = self.residue.sigma_pow(img, i, e)
             cols.append(to_kvec(elem * img, self.kfield))
-        rows = [[cols[c][r] for c in range(self.ext)] for r in range(self.ext)]
-        return Matrix(self.kfield, self.ext, self.ext, rows)
+        return Matrix._of(self.kfield, self.ext, self.ext, tuple(zip(*cols)))
 
     def kblock(self, mat: Matrix, twist: Dict[int, int]) -> Matrix:
         out = Matrix.zeros(self.kfield, mat.nrows * self.ext, mat.ncols * self.ext)
@@ -691,7 +675,9 @@ class KLinearization:
                 for br in range(self.ext):
                     for bc in range(self.ext):
                         rows[r * self.ext + br][c * self.ext + bc] = block.entry(br, bc)
-        return Matrix(self.kfield, mat.nrows * self.ext, mat.ncols * self.ext, rows)
+        return Matrix._of(
+            self.kfield, mat.nrows * self.ext, mat.ncols * self.ext, tuple(map(tuple, rows))
+        )
 
     def kvec(self, gamma: ShiftVector, residue_vec) -> tuple:
         out = []
@@ -825,17 +811,17 @@ def _assemble_block_diag(field, weights, dims, sol):
             for c in range(d):
                 rows[pos + r][pos + c] = block.entry(r, c)
         pos += d
-    return Matrix(field, total, total, rows)
+    return Matrix._of(field, total, total, tuple(map(tuple, rows)))
 
 
 def _matrix_minpoly(field, mat: Matrix) -> Poly:
     n = mat.nrows
     powers = [Matrix.identity(field, n)]
     while True:
-        flat_rows = [
-            [p.entry(r, c) for p in powers] for r in range(n) for c in range(n)
-        ]
-        kernel = Matrix(field, n * n, len(powers), flat_rows).nullspace()
+        flat_rows = tuple(
+            tuple(p.entry(r, c) for p in powers) for r in range(n) for c in range(n)
+        )
+        kernel = Matrix._of(field, n * n, len(powers), flat_rows).nullspace()
         if kernel:
             coeffs = min(kernel, key=lambda v: sum(1 for x in v if not x.is_zero()))
             return Poly(field, coeffs).monic()

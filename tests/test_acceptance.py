@@ -371,4 +371,5 @@ def test_criterion_11_heisenberg_brackets():
         assert report["bracket_failures"] == []
         assert report["grading_failures"] == []
         assert report["central_charge"] == 1
-        assert report["brackets_checked"] > 0
+        assert report["brackets_checked"] == 25200
+        assert report["grading_checked"] == 4000

@@ -234,6 +234,28 @@ def test_canonical_forms():
     assert e == F9.one()
 
 
+F16 = extend(F4, Poly(F4, [F4.gen(), F2.one(), F4.one()]))  # two-level tower
+
+
+@pytest.mark.parametrize(
+    "field, non_ones",
+    [
+        (QQ, [QQ.zero(), QQ.from_int(2), QQ.from_int(-1), QQ.from_fraction(Fraction(1, 2))]),
+        (GF(5), [GF(5).zero(), GF(5).from_int(2), GF(5).from_int(-1)]),
+        (F4, [F4.zero(), F4.gen(), F4.gen() + F4.one()]),
+        (F16, [F16.zero(), F16.gen(), F16.embed(F4.gen()), F16.gen() + F16.one()]),
+    ],
+    ids=["Q", "GF5", "GF4", "GF16-over-GF4"],
+)
+def test_is_one(field, non_ones):
+    assert field.one().is_one()
+    assert field.from_int(1 + field.char).is_one()
+    for elem in non_ones:
+        assert not elem.is_one()
+        if not elem.is_zero():
+            assert (elem * elem.inverse()).is_one()
+
+
 # ---- the polynomial kernel against the loops it replaced ---------------------
 
 

@@ -118,10 +118,14 @@ IDEAL = {"field": {"kind": "Q"}, "arity": 1, "generators": {"1": ["-1/2", "1/1"]
         lambda: jsonio.ideal_from_json(_with(IDEAL, ["arity"], True)),
         lambda: jsonio.module_from_json(_with(_module_json_char0(), ["box", "radius"], 1.0)),
         lambda: jsonio.module_from_json(_with(_module_json_char0(), ["spaces", "1:1"], 1.0)),
+        lambda: jsonio.module_from_json(_with(_module_json_char0(), ["box", "indices"], [1.9, 2.5])),
+        lambda: jsonio.module_from_json(_with(_module_json_char0(), ["box", "indices"], [True, 2])),
+        lambda: jsonio.module_from_json(_with(_module_json_char0(), ["box", "indices"], None)),
     ],
     ids=[
         "Q-float", "GF-float", "GF-bool", "Ext-float", "shift-float", "rep-dims-float",
         "field-p-float", "arity-bool", "module-radius-float", "module-spaces-float",
+        "module-indices-float", "module-indices-bool", "module-indices-null",
     ],
 )
 def test_non_integer_numbers_are_schema_errors(parse):

@@ -11,11 +11,13 @@ from weylmod.errors import (
 )
 from weylmod.fields import GF, QQ, Poly
 from weylmod.linalg import Matrix
+from weylmod.indecomp import build_order2_module, q2_indecomposables
 from weylmod.orbits import SepMaxIdeal, ShiftVector, make_window, orbit_info
 from weylmod.simples import build_S_O, build_S_O_p, build_S_char_p, classify_simples
 from weylmod.weightmod import (
     OUT,
     KLinearization,
+    RelationReport,
     WeightModule,
     _by_source,
     _spin,
@@ -65,6 +67,116 @@ def test_injected_fault_is_located():
     assert not report.ok
     failure = report.entries["same_index_commutator"]["first_failure"]
     assert failure is not None and failure["index"] == 1
+
+
+def _readme_module():
+    info = stable_charp_info()
+    field = info.residue.desc
+    cubic = Poly(field, [field.one(), field.one(), field.zero(), field.one()])
+    return build_S_char_p(info, classify_simples(info)[0], cubic)
+
+
+def _order2_module(label):
+    info = orbit_info(SepMaxIdeal(QQ, 2, {1: Poly.x(QQ), 2: Poly.x(QQ)}))
+    rep = next(r for r in q2_indecomposables(QQ, 2, 1) if r.label == label)
+    return build_order2_module(info, rep, make_window(info, radius=1))
+
+
+def _checked(report):
+    return {name: entry["checked"] for name, entry in report.entries.items()}
+
+
+README_CHECKED = {
+    "weight_condition": 1,
+    "same_index_commutator": 1,
+    "raising_commute": 0,
+    "lowering_commute": 0,
+    "mixed_commutator": 0,
+}
+HALF_CHECKED = dict(README_CHECKED, weight_condition=4, same_index_commutator=3)
+ORDER2_CHECKED = {
+    "weight_condition": 12,
+    "same_index_commutator": 6,
+    "raising_commute": 4,
+    "lowering_commute": 4,
+    "mixed_commutator": 8,
+}
+
+
+def test_readme_module_checked_counts():
+    report = verify_relations(_readme_module())
+    assert report.ok
+    assert _checked(report) == README_CHECKED
+
+
+# (module, store, index, source weight, entry) of a fault that adds one to a
+# single matrix entry, the relation kinds it breaks, and where each first fails.
+# The weight condition and the same-index commutator both walk (X i, Y i) from
+# the same weight, so no single-transition fault breaks the former alone.
+FAULTS = {
+    "weight_condition": (
+        lambda: build_S_O(half_shift_info(1), make_window(half_shift_info(1), radius=2)),
+        "xmat", 1, {1: -2}, (0, 0), HALF_CHECKED,
+        {
+            "weight_condition": {"index": 1, "gamma": ShiftVector({1: -2})},
+            "same_index_commutator": {"index": 1, "gamma": ShiftVector({1: -1})},
+        },
+    ),
+    "same_index_commutator": (
+        _readme_module, "dmat", 1, {}, (0, 1), README_CHECKED,
+        {"same_index_commutator": {"index": 1, "gamma": ZERO}},
+    ),
+    "raising_commute": (
+        lambda: _order2_module("M0"), "xmat", 1, {2: 1}, (0, 0), ORDER2_CHECKED,
+        {"raising_commute": {"indices": (1, 2), "gamma": ZERO}},
+    ),
+    "lowering_commute": (
+        lambda: _order2_module("M2"), "dmat", 1, {1: 1, 2: 1}, (0, 0), ORDER2_CHECKED,
+        {"lowering_commute": {"indices": (1, 2), "gamma": ShiftVector({1: 1, 2: 1})}},
+    ),
+    "mixed_commutator": (
+        lambda: _order2_module("M1"), "xmat", 1, {2: 1}, (0, 0), ORDER2_CHECKED,
+        {"mixed_commutator": {"indices": (2, 1), "gamma": ShiftVector({2: 1})}},
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", list(FAULTS))
+def test_fault_fails_only_its_relations(kind):
+    build, store, index, source, (r, c), checked, failing = FAULTS[kind]
+    module = build()
+    assert verify_relations(module).ok
+    key = (index, ShiftVector(source))
+    mats = {"xmat": dict(module.xmat), "dmat": dict(module.dmat)}
+    rows = [list(row) for row in mats[store][key].rows]
+    rows[r][c] = rows[r][c] + module.field.one()
+    mats[store][key] = Matrix(module.field, len(rows), len(rows[0]), rows)
+    broken = WeightModule(module.info, module.window, module.spaces, **mats)
+    report = verify_relations(broken)
+    assert kind in failing
+    assert report.failures() == [n for n in RelationReport.RELATIONS if n in failing]
+    for name, location in failing.items():
+        assert report.entries[name]["first_failure"] == location
+    assert _checked(report) == checked
+
+
+def test_walk_returns_none_off_the_window():
+    info = half_shift_info(1)
+    module = build_S_O(info, make_window(info, radius=1))
+    top = ShiftVector.e(1)
+    assert module.walk(top, [("X", 1)]) is None
+    assert module.walk(ZERO, [("X", 1), ("X", 1)]) is None
+    assert module.walk(ZERO, [("X", 1), ("Y", 1), ("X", 1), ("X", 1)]) is None
+    mat, end = module.walk(ZERO, [("X", 1), ("Y", 1)])
+    assert end == ZERO
+    assert mat == module.compose_op(module.op_d(1, top), module.op_x(1, ZERO))[0]
+    assert module.walk(ZERO, [("X", 1)]) == (module.x(1, ZERO), top)
+    assert module.evaluate_path(ZERO, [("X", 1), ("Y", 1)]) == (mat, ZERO)
+    assert module.evaluate_path(ZERO, []) == (Matrix.identity(module.field, 1), ZERO)
+    with pytest.raises(WindowTooSmall):
+        module.evaluate_path(ZERO, [("X", 1), ("X", 1)])
+    with pytest.raises(WindowTooSmall):
+        module.evaluate_path(ShiftVector.e(1, 2), [])
 
 
 def test_zero_module_passes_vacuously():
