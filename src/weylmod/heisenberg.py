@@ -103,13 +103,12 @@ def heisenberg_action_check(
         n = module.dim(gamma)
         zero, ident = Matrix.zeros(field, n, n), Matrix.identity(field, n)
         minus_ident = ident.scale(field.from_int(-1))
+        # each word once: the second word of (s, t) is the first of (t, s)
+        walked = {(s, t): module.walk(gamma, (step[s], step[t])) for s in labels for t in labels}
         for s in labels:
             for t in labels:
-                first = module.walk(gamma, (step[t], step[s]))
-                if first is None:
-                    continue
-                second = module.walk(gamma, (step[s], step[t]))
-                if second is None:
+                first, second = walked[(t, s)], walked[(s, t)]
+                if first is None or second is None:
                     continue
                 bracket_checked += 1
                 expected = zero if s != -t else ident if s > 0 else minus_ident

@@ -261,7 +261,7 @@ def module_from_json(data) -> WeightModule:
                     if cell == OUT:
                         store[(i, g)] = OUT
                         continue
-                    target = info.step(g, i, direction)
+                    target = window.step(g, i, direction)
                     store[(i, g)] = matrix_from_json(
                         desc, cell, spaces.get(target, 0), spaces.get(g, 0)
                     )

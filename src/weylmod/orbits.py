@@ -10,6 +10,8 @@ skeleton bookkeeping is purely sign-based on coordinates.
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .errors import (
@@ -25,26 +27,31 @@ from .fields import FieldDesc, FieldElem, Poly, extend, is_irreducible
 UNBOUNDED = "inf"
 
 
+def _coordinate(x) -> int:
+    """An exact integer index or value; floats, strings and bools are refused."""
+    if isinstance(x, bool):
+        raise TypeError(f"shift coordinate {x!r} is a bool, not an integer")
+    return operator.index(x)
+
+
 class ShiftVector:
     """Finitely-supported integer vector indexing a point of an orbit."""
 
-    __slots__ = ("entries",)
+    __slots__ = ("entries", "_hash")
 
     def __init__(self, entries=()):
-        if isinstance(entries, dict):
-            items = entries.items()
-        else:
-            items = entries
-        cleaned = tuple(sorted((int(i), int(v)) for i, v in items if int(v) != 0))
-        for i, _ in cleaned:
+        items = entries.items() if isinstance(entries, dict) else entries
+        pairs = ((_coordinate(i), _coordinate(v)) for i, v in items)
+        cleaned = tuple(sorted((i, v) for i, v in pairs if v != 0))
+        seen = set()
+        for i, _ in cleaned:  # sorted, so an index below 1 is met first
             if i < 1:
                 raise ValueError("indices are 1-based")
-        seen = set()
-        for i, _ in cleaned:
             if i in seen:
                 raise ValueError(f"duplicate index {i}")
             seen.add(i)
         object.__setattr__(self, "entries", cleaned)
+        object.__setattr__(self, "_hash", hash(cleaned))
 
     def __setattr__(self, *args):
         raise AttributeError("ShiftVector is immutable")
@@ -84,7 +91,7 @@ class ShiftVector:
         return self.entries == other.entries
 
     def __hash__(self):
-        return hash(self.entries)
+        return self._hash
 
     def sort_key(self):
         return self.entries
@@ -556,7 +563,13 @@ class Window:
 
     Characteristic zero: a coordinate box of the given radius around 0 over
     the listed indices.  Characteristic p: the whole (finite) orbit; steps
-    wrap around coordinatewise.
+    wrap around coordinatewise, modulo each index's period, which is one more
+    than the largest coordinate there.
+
+    The steps are computed once, when the window is built: :meth:`step` reads
+    a table from (weight, index, +1 or -1) to the neighbouring window weight,
+    or None when the step leaves the window.  Every step of a module goes
+    through it; ``OrbitInfo.step`` and a membership test are the reference.
     """
 
     def __init__(self, kind: str, indices: Tuple[int, ...], radius: int, weights):
@@ -565,6 +578,33 @@ class Window:
         self.radius = radius
         self.weights = tuple(sorted(weights, key=lambda g: g.sort_key()))
         self._set = frozenset(self.weights)
+        self._steps = self._step_table()
+
+    def _step_table(self) -> Dict[Tuple[ShiftVector, int, int], Optional[ShiftVector]]:
+        by_entries = {g.entries: g for g in self.weights}
+        periods = {}
+        if self.kind == "orbit":
+            periods = {i: 1 + max((g.get(i) for g in self.weights), default=0)
+                       for i in self.indices}
+            if len(self._set) != math.prod(periods.values()) or any(
+                v < 0 for g in self.weights for _, v in g.entries
+            ):
+                raise ValueError("an orbit window holds exactly the points of one orbit")
+        table = {}
+        for g in self.weights:
+            for i in self.indices:
+                for s in (1, -1):
+                    moved = dict(g.entries)
+                    moved[i] = moved.get(i, 0) + s
+                    if i in periods:
+                        moved[i] %= periods[i]
+                    key = tuple(sorted((j, v) for j, v in moved.items() if v))
+                    table[(g, i, s)] = by_entries.get(key)
+        return table
+
+    def step(self, gamma: ShiftVector, i: int, s: int) -> Optional[ShiftVector]:
+        """The window weight one step from gamma in direction i, or None."""
+        return self._steps.get((gamma, i, s))
 
     def __contains__(self, gamma: ShiftVector) -> bool:
         return gamma in self._set

@@ -271,7 +271,7 @@ def structural_simplicity_certificate(module: WeightModule) -> bool:
             for mat, s in ((module.x(i, gamma), 1), (module.d(i, gamma), -1)):
                 if mat == OUT:
                     continue
-                target = info.step(gamma, i, s)
+                target = module.window.step(gamma, i, s)
                 if module.dim(target) == 0:
                     continue
                 if mat.nrows != mat.ncols or mat.inverse() is None:

@@ -8,7 +8,9 @@ composition here routes through :meth:`WeightModule.compose_op`, which
 applies it.  Paths are words of ("X", i) raising and ("Y", i) lowering steps,
 composed by one walker, :meth:`WeightModule.walk`: ``evaluate_path`` wraps
 it, and :func:`verify_relations` checks each defining relation as a pair of
-words walked from the same weight.
+words walked from the same weight.  Every step from one weight to the next is
+read from the window's step table (:meth:`Window.step`); ``OrbitInfo.step``
+stays the independent reference that the tests check the table against.
 
 The two functors between weight modules and skeleton modules are exact
 mutually-inverse expansions: interior transitions of an expanded module are
@@ -23,6 +25,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .errors import (
     EnumerationBudgetExceeded,
+    FieldMismatch,
     InfiniteDimension,
     RelationViolation,
     WindowTooSmall,
@@ -72,8 +75,8 @@ class WeightModule:
                     if key not in store:
                         raise WindowTooSmall(f"missing matrix for index {i} at {gamma!r}")
                     mat = store[key]
-                    target = self.info.step(gamma, i, direction)
-                    if target not in self.window:
+                    target = self.window.step(gamma, i, direction)
+                    if target is None:
                         if mat != OUT:
                             raise RelationViolation(
                                 f"transition at {gamma!r} index {i} should be "
@@ -160,8 +163,8 @@ class WeightModule:
         acc = None
         for kind, i in steps:
             raising = kind == "X"
-            target = self.info.step(gamma, i, 1 if raising else -1)
-            if target not in self.window:
+            target = self.window.step(gamma, i, 1 if raising else -1)
+            if target is None:
                 return None
             op = self.op_x(i, gamma) if raising else self.op_d(i, gamma)
             acc = op if acc is None else self.compose_op(op, acc)
@@ -200,24 +203,17 @@ def direct_sum(a: WeightModule, b: WeightModule) -> WeightModule:
     """Blockwise direct sum of two modules on the same window."""
     if a.window != b.window:
         raise WindowTooSmall("direct sum needs a common window")
+    if a.field != b.field:
+        raise FieldMismatch("direct sum needs a common residue field")
     spaces = {g: a.dim(g) + b.dim(g) for g in a.window}
-    field = a.field
+    zero = a.field.zero()
 
     def block(ma, mb):
         if ma == OUT or mb == OUT:
             return OUT
-        rows = []
-        for r in range(ma.nrows + mb.nrows):
-            row = []
-            for c in range(ma.ncols + mb.ncols):
-                if r < ma.nrows and c < ma.ncols:
-                    row.append(ma.entry(r, c))
-                elif r >= ma.nrows and c >= ma.ncols:
-                    row.append(mb.entry(r - ma.nrows, c - ma.ncols))
-                else:
-                    row.append(field.zero())
-            rows.append(row)
-        return Matrix(field, ma.nrows + mb.nrows, ma.ncols + mb.ncols, rows)
+        rows = tuple(r + (zero,) * mb.ncols for r in ma.rows)
+        rows += tuple((zero,) * ma.ncols + r for r in mb.rows)
+        return Matrix._of(a.field, ma.nrows + mb.nrows, ma.ncols + mb.ncols, rows)
 
     xmat = {k: block(a.xmat[k], b.xmat[k]) for k in a.xmat}
     dmat = {k: block(a.dmat[k], b.dmat[k]) for k in a.dmat}
@@ -301,8 +297,11 @@ def verify_relations(module: WeightModule) -> RelationReport:
     info = module.info
     for gamma in module.window:
         ident = Matrix.identity(module.field, module.dim(gamma))
+        walked = {}  # (X i, Y i) opens two relations; walk it once
         for name, location, word, other in _relation_rows(module.window.indices, gamma):
-            lhs = module.walk(gamma, word)
+            if word not in walked:
+                walked[word] = module.walk(gamma, word)
+            lhs = walked[word]
             if lhs is None:
                 continue
             if other is None:
@@ -460,27 +459,25 @@ def _expand_A(data: SkeletonModuleA, info: OrbitInfo, window) -> WeightModule:
     if window is None:
         window = make_window(info)
     field = info.residue.desc
-    spaces = {}
-    for gamma in window:
-        spaces[gamma] = data.dim(canonical_skeleton_rep(info, gamma))
+    region = {gamma: canonical_skeleton_rep(info, gamma) for gamma in window}
+    spaces = {gamma: data.dim(region[gamma]) for gamma in window}
     xmat, dmat = {}, {}
     for gamma in window:
-        delta = canonical_skeleton_rep(info, gamma)
         for i in window.indices:
-            up = info.step(gamma, i, 1)
-            if up not in window:
+            up = window.step(gamma, i, 1)
+            if up is None:
                 xmat[(i, gamma)] = OUT
             elif info.is_break_index(i) and gamma.get(i) == 0:
-                xmat[(i, gamma)] = data.a[(delta, i)]
+                xmat[(i, gamma)] = data.a[(region[gamma], i)]
             else:
                 xmat[(i, gamma)] = Matrix.identity(field, spaces[gamma])
-            down = info.step(gamma, i, -1)
-            if down not in window:
+            down = window.step(gamma, i, -1)
+            if down is None:
                 dmat[(i, gamma)] = OUT
             elif info.is_break_index(i) and gamma.get(i) == 1:
-                dmat[(i, gamma)] = data.b[(canonical_skeleton_rep(info, down), i)]
+                dmat[(i, gamma)] = data.b[(region[down], i)]
             else:
-                scalar = info.edge_scalar(info.step(gamma, i, -1), i)
+                scalar = info.edge_scalar(down, i)
                 dmat[(i, gamma)] = Matrix.scalar(field, spaces[gamma], scalar)
     return WeightModule(info, window, spaces, xmat, dmat)
 
@@ -509,12 +506,13 @@ def _expand_B(data: SkeletonModuleB, info: OrbitInfo) -> WeightModule:
         for i in window.indices:
             r = info.period(i)
             gi = gamma.get(i)
+            down = window.step(gamma, i, -1)
             if i in info.break_set:
                 xmat[(i, gamma)] = data.a[i] if gi == 0 else ident
                 if gi == 1:
                     dmat[(i, gamma)] = lowering_break[i]
                 else:
-                    scalar = info.edge_scalar(info.step(gamma, i, -1), i)
+                    scalar = info.edge_scalar(down, i)
                     dmat[(i, gamma)] = Matrix.scalar(field, d, scalar)
             elif r == 1:
                 xmat[(i, gamma)] = data.c[i]
@@ -522,11 +520,11 @@ def _expand_B(data: SkeletonModuleB, info: OrbitInfo) -> WeightModule:
             else:
                 xmat[(i, gamma)] = data.c[i] if gi == r - 1 else ident
                 if gi == 0:
-                    scalar = info.edge_scalar(info.step(gamma, i, -1), i)
+                    scalar = info.edge_scalar(down, i)
                     inv = data.c[i].inverse()
                     dmat[(i, gamma)] = inv.scale(scalar)
                 else:
-                    scalar = info.edge_scalar(info.step(gamma, i, -1), i)
+                    scalar = info.edge_scalar(down, i)
                     dmat[(i, gamma)] = Matrix.scalar(field, d, scalar)
     return WeightModule(info, window, spaces, xmat, dmat)
 
@@ -628,7 +626,7 @@ class KLinearization:
                     self.ops.append(
                         (
                             gamma,
-                            info.step(gamma, i, 1),
+                            module.window.step(gamma, i, 1),
                             self.kblock(xm, module.x_twist(i)),
                         )
                     )
@@ -637,7 +635,7 @@ class KLinearization:
                     self.ops.append(
                         (
                             gamma,
-                            info.step(gamma, i, -1),
+                            module.window.step(gamma, i, -1),
                             self.kblock(dm, module.d_twist(i)),
                         )
                     )

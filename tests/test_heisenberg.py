@@ -11,6 +11,7 @@ from weylmod.heisenberg import (
     weight_degree,
 )
 from weylmod.orbits import ShiftVector
+from weylmod.weightmod import WeightModule
 
 
 def test_count_examples():
@@ -62,6 +63,21 @@ def test_action_check_passes():
     assert report["grading_checked"] > 0
     assert report["bracket_failures"] == []
     assert report["grading_failures"] == []
+
+
+def test_action_check_composes_each_product_once(monkeypatch):
+    walks = []
+    walk = WeightModule.walk
+
+    def recording(self, gamma, steps):
+        walks.append((gamma, tuple(steps)))
+        return walk(self, gamma, steps)
+
+    monkeypatch.setattr(WeightModule, "walk", recording)
+    report = heisenberg_action_check(radius=1, max_index=4)
+    assert report["ok"] and report["window_size"] == 81
+    # 81 weights x 8 x 8 two-step words, and 81 x 8 one-step words
+    assert len(walks) == len(set(walks)) == 81 * 64 + 81 * 8
 
 
 def test_action_check_rejects_degenerate():

@@ -10,9 +10,11 @@ from weylmod.errors import (
     NotMaximalIdeal,
 )
 from weylmod.fields import GF, QQ, Poly, extend
+from weylmod.heisenberg import default_heisenberg_orbit
 from weylmod.orbits import (
     SepMaxIdeal,
     ShiftVector,
+    Window,
     canonical_skeleton_rep,
     make_window,
     orbit_info,
@@ -35,6 +37,29 @@ def test_shift_vector_canonical_form():
     assert sv.add(sv.neg()).is_zero()
     with pytest.raises(ValueError):
         ShiftVector({0: 1})
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [{1: 1.5}, {1.9: 2}, {True: 1}, {1: False}, {"1": 1}, [(1, 2.0)]],
+    ids=["float-value", "float-index", "bool-index", "bool-value", "str-index", "float-pair"],
+)
+def test_shift_vector_rejects_non_integers(entries):
+    with pytest.raises((TypeError, ValueError)):
+        ShiftVector(entries)
+
+
+def test_equal_shift_vectors_hash_alike():
+    built = [
+        ShiftVector({3: -1, 1: 2}),
+        ShiftVector([(1, 2), (3, -1), (2, 0)]),
+        ShiftVector({1: 2}).add(ShiftVector({3: -1})),
+        ShiftVector.e(3, -1).step(1, 2),
+    ]
+    assert all(sv == built[0] and hash(sv) == hash(built[0]) for sv in built)
+    assert len(set(built)) == 1
+    with pytest.raises(AttributeError):
+        built[0].entries = ()
 
 
 def test_sigma_apply_examples():
@@ -235,3 +260,76 @@ def test_edge_scalars():
         assert val == desc.from_fraction(Fraction(1, 2) + gamma)
     mb = orbit_info(SepMaxIdeal(QQ, 1, {1: Poly.x(QQ)}))
     assert mb.edge_scalar(ShiftVector(), 1).is_zero()
+
+
+def _reference_step(info, window, gamma, i, s):
+    target = info.step(gamma, i, s)
+    return target if target in window else None
+
+
+def _assert_steps_match(info, window, indices):
+    for gamma in window:
+        for i in indices:
+            for s in (1, -1):
+                assert window.step(gamma, i, s) == _reference_step(info, window, gamma, i, s)
+
+
+QQ_IDEALS = {
+    1: {1: Poly.x(QQ)},
+    2: {1: t_minus(QQ, Fraction(1, 2)), 2: t_minus(QQ, -3)},
+    4: {1: Poly.x(QQ), 2: t_minus(QQ, Fraction(1, 2)), 3: Poly(QQ, [-2, 0, 1]), 4: t_minus(QQ, 1)},
+}
+
+
+@pytest.mark.parametrize("radius", [1, 2, 3])
+@pytest.mark.parametrize("arity", sorted(QQ_IDEALS))
+def test_window_step_matches_orbit_step_on_boxes(arity, radius):
+    info = orbit_info(SepMaxIdeal(QQ, arity, QQ_IDEALS[arity]))
+    window = make_window(info, radius=radius)
+    _assert_steps_match(info, window, range(1, arity + 2))
+
+
+def test_window_step_leaves_a_box_that_omits_a_break_index():
+    info = orbit_info(SepMaxIdeal(QQ, 2, QQ_IDEALS[2]))
+    assert info.break_set == (2,)
+    window = make_window(info, radius=2, indices=[1])
+    _assert_steps_match(info, window, (1, 2))
+    assert all(window.step(g, 2, s) is None for g in window for s in (1, -1))
+
+
+def test_window_step_on_the_unbounded_heisenberg_orbit():
+    info = default_heisenberg_orbit()
+    window = make_window(info, radius=1, indices=range(1, 5))
+    _assert_steps_match(info, window, range(1, 7))
+
+
+@pytest.mark.parametrize(
+    "field, gens",
+    [
+        (F2, {1: Poly(F2, [1, 1, 1])}),
+        (F3, {1: t_minus(F3, 0), 2: t_minus(F3, 1)}),
+        (F2, {1: Poly(F2, [1, 1, 1]), 2: Poly.x(F2)}),
+    ],
+    ids=["period-1", "period-p", "mixed"],
+)
+def test_window_step_wraps_char_p_orbits(field, gens):
+    info = orbit_info(SepMaxIdeal(field, len(gens), gens))
+    window = make_window(info)
+    _assert_steps_match(info, window, info.indices())
+    if info.periods[1] == 1:
+        assert all(window.step(g, 1, s) == g for g in window for s in (1, -1))
+
+
+def test_hand_built_windows_step_like_the_orbit():
+    info = orbit_info(SepMaxIdeal(QQ, 2, QQ_IDEALS[2]))
+    ell = [ShiftVector({1: a, 2: b}) for a, b in [(0, 0), (1, 0), (2, 0), (0, 1), (0, 2), (-1, 1)]]
+    window = Window("box", (1, 2), 2, ell)
+    _assert_steps_match(info, window, (1, 2, 3))
+    assert window.step(ShiftVector({1: 1}), 2, 1) is None
+    info_p = orbit_info(SepMaxIdeal(F3, 2, {1: t_minus(F3, 0), 2: t_minus(F3, 1)}))
+    shuffled = list(reversed(info_p.orbit_weights()))
+    window_p = Window("orbit", (1, 2), 0, shuffled)
+    assert window_p == make_window(info_p)
+    _assert_steps_match(info_p, window_p, (1, 2))
+    with pytest.raises(ValueError):
+        Window("orbit", (1, 2), 0, shuffled[1:])

@@ -103,6 +103,27 @@ ORDER2_CHECKED = {
 }
 
 
+def _recorded_walks(monkeypatch):
+    walks = []
+    walk = WeightModule.walk
+
+    def recording(self, gamma, steps):
+        walks.append((gamma, tuple(steps)))
+        return walk(self, gamma, steps)
+
+    monkeypatch.setattr(WeightModule, "walk", recording)
+    return walks
+
+
+def test_verify_relations_walks_each_word_once(monkeypatch):
+    info = orbit_info(SepMaxIdeal(QQ, 2, {1: Poly.x(QQ), 2: Poly.x(QQ)}))
+    rep = next(r for r in q2_indecomposables(QQ, 2, 1) if r.label == "M0")
+    module = build_order2_module(info, rep, make_window(info, radius=2))
+    walks = _recorded_walks(monkeypatch)
+    assert verify_relations(module).ok
+    assert len(walks) == len(set(walks)) == 254
+
+
 def test_readme_module_checked_counts():
     report = verify_relations(_readme_module())
     assert report.ok
@@ -244,6 +265,20 @@ def test_direct_sum_is_blockwise():
     s1 = build_S_O_p(binfo, ShiftVector.e(1), window)
     both = direct_sum(s0, s1)
     assert both.kdim() == s0.kdim() + s1.kdim()
+    for store in ("xmat", "dmat"):
+        for key, mat in getattr(both, store).items():
+            a, b = getattr(s0, store)[key], getattr(s1, store)[key]
+            if mat == OUT:
+                assert OUT in (a, b)
+                continue
+            assert (mat.nrows, mat.ncols) == (a.nrows + b.nrows, a.ncols + b.ncols)
+            for r, c in itertools.product(range(mat.nrows), range(mat.ncols)):
+                if r < a.nrows and c < a.ncols:
+                    assert mat.entry(r, c) == a.entry(r, c)
+                elif r >= a.nrows and c >= a.ncols:
+                    assert mat.entry(r, c) == b.entry(r - a.nrows, c - a.ncols)
+                else:
+                    assert mat.entry(r, c).is_zero()
     assert verify_relations(both).ok
     data = to_skeleton_module(both)
     assert data.dim(ZERO) == 1 and data.dim(ShiftVector.e(1)) == 1
