@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 from typing import Iterator, Optional, Union
 
@@ -57,9 +58,11 @@ class FieldDesc:
     Immutable and hashable.  ``certified`` records whether the extension
     modulus passed an irreducibility check or was merely asserted by the
     caller; the flag propagates to everything built on top of the field.
+    A prime field keeps its elements in ``_elems``, residue -> element, which
+    fills as residues are boxed.
     """
 
-    __slots__ = ("kind", "p", "base", "modulus", "certified", "_hash")
+    __slots__ = ("kind", "p", "base", "modulus", "certified", "_hash", "_elems")
 
     def __init__(self, kind, p=0, base=None, modulus=None, certified=True):
         object.__setattr__(self, "kind", kind)
@@ -69,6 +72,7 @@ class FieldDesc:
         object.__setattr__(self, "certified", certified)
         key = (kind, p, base, None if modulus is None else modulus.coeffs, certified)
         object.__setattr__(self, "_hash", hash(key))
+        object.__setattr__(self, "_elems", _Elems(self) if kind == _PRIME else None)
 
     def __setattr__(self, *args):
         raise AttributeError("FieldDesc is immutable")
@@ -157,7 +161,7 @@ class FieldDesc:
         if self.kind == _RATIONALS:
             return FieldElem(self, Fraction(0))
         if self.kind == _PRIME:
-            return FieldElem(self, 0)
+            return self._elems[0]
         return FieldElem(self, ())
 
     def one(self) -> "FieldElem":
@@ -167,7 +171,7 @@ class FieldDesc:
         if self.kind == _RATIONALS:
             return FieldElem(self, Fraction(n))
         if self.kind == _PRIME:
-            return FieldElem(self, n % self.p)
+            return self._elems[n % self.p]
         return self.embed(self.base.from_int(n))
 
     def from_fraction(self, q: Fraction) -> "FieldElem":
@@ -177,7 +181,7 @@ class FieldDesc:
             den = q.denominator % self.p
             if den == 0:
                 raise ZeroDivisionError(f"denominator of {q} vanishes mod {self.p}")
-            return FieldElem(self, (q.numerator * pow(den, self.p - 2, self.p)) % self.p)
+            return self._elems[(q.numerator * pow(den, self.p - 2, self.p)) % self.p]
         return self.embed(self.base.from_fraction(q))
 
     def embed(self, e: "FieldElem") -> "FieldElem":
@@ -217,7 +221,7 @@ class FieldDesc:
             raise EnumerationBudgetExceeded("cannot enumerate an infinite field")
         if self.kind == _PRIME:
             for v in range(self.p):
-                yield FieldElem(self, v)
+                yield self._elems[v]
             return
         base_elems = list(self.base.enumerate_elements())
         deg = self.modulus.degree
@@ -234,13 +238,37 @@ class FieldDesc:
         return f"{self.base!r}[x]/({mod}{tag})"
 
 
+class _Elems(dict):
+    """Residue -> element of one prime field, built on first use and kept for
+    the first ``_ELEMS_KEPT`` residues seen, so a large p allocates nothing up
+    front."""
+
+    __slots__ = ("field",)
+
+    def __init__(self, field):
+        self.field = field
+
+    def __missing__(self, value):
+        elem = FieldElem(self.field, value)
+        if len(self) < _ELEMS_KEPT:
+            self[value] = elem
+        return elem
+
+
+_ELEMS_KEPT = 1 << 12
 QQ = FieldDesc(_RATIONALS)
+_GF_DESCS: dict = {}
 
 
 def GF(p: int) -> FieldDesc:
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    return FieldDesc(_PRIME, p=p)
+    """The prime field of order p; equal p give the same descriptor."""
+    p = operator.index(p)
+    desc = _GF_DESCS.get(p)
+    if desc is None:
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
+        desc = _GF_DESCS[p] = FieldDesc(_PRIME, p=p)
+    return desc
 
 
 def _strip(coeffs: tuple) -> tuple:
@@ -283,7 +311,7 @@ class FieldElem:
         if k == _EXTENSION:
             return FieldElem(self.field, _tup_add(self.value, other.value))
         if k == _PRIME:
-            return FieldElem(self.field, (self.value + other.value) % self.field.p)
+            return self.field._elems[(self.value + other.value) % self.field.p]
         return FieldElem(self.field, self.value + other.value)
 
     def __neg__(self):
@@ -291,7 +319,7 @@ class FieldElem:
         if k == _EXTENSION:
             return FieldElem(self.field, tuple(-c for c in self.value))
         if k == _PRIME:
-            return FieldElem(self.field, (-self.value) % self.field.p)
+            return self.field._elems[(-self.value) % self.field.p]
         return FieldElem(self.field, -self.value)
 
     def __sub__(self, other):
@@ -304,7 +332,7 @@ class FieldElem:
             product = _tup_mul(self.value, other.value)
             return FieldElem(self.field, _tup_divmod(product, self.field.modulus.coeffs)[1])
         if k == _PRIME:
-            return FieldElem(self.field, (self.value * other.value) % self.field.p)
+            return self.field._elems[(self.value * other.value) % self.field.p]
         return FieldElem(self.field, self.value * other.value)
 
     def inverse(self) -> "FieldElem":
@@ -314,7 +342,7 @@ class FieldElem:
         if k == _RATIONALS:
             return FieldElem(self.field, 1 / self.value)
         if k == _PRIME:
-            return FieldElem(self.field, pow(self.value, self.field.p - 2, self.field.p))
+            return self.field._elems[pow(self.value, self.field.p - 2, self.field.p)]
         return FieldElem(self.field, _tup_invmod(self.value, self.field.modulus.coeffs))
 
     def __truediv__(self, other):

@@ -5,6 +5,13 @@ out of zero weight spaces), and all arithmetic is exact.  ``EchelonSpace`` is
 the one elimination kernel: ``Matrix.rref`` (and through it ``rank``,
 ``nullspace`` and ``inverse``) inserts rows into one, as do the closures.
 
+Over a prime field GF(p) the kernel computes on plain int residues: an
+``EchelonSpace`` keeps its rows as int lists, and products, sums, scalings and
+``mul_vec`` unbox their operands once and box each result entry once, through
+the field's table of elements.  Q and extension fields compute on boxed
+``FieldElem`` entries.  Both give the same elements: the reduced echelon form
+of a row space is unique.
+
 Only the public constructor ``Matrix(...)`` coerces entries and checks the
 shape; arithmetic, ``transpose``, ``rref``, ``inverse``, ``zeros``,
 ``identity``, ``scalar``, ``iter_matrices`` and ``solve_intertwiners`` build
@@ -16,10 +23,13 @@ from __future__ import annotations
 
 import bisect
 import itertools
+from operator import attrgetter, mul
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import FieldMismatch
 from .fields import FieldDesc, FieldElem, Poly
+
+_value = attrgetter("value")  # an element's residue, over GF(p)
 
 
 class Matrix:
@@ -73,11 +83,20 @@ class Matrix:
             raise FieldMismatch("matrices over different fields")
 
     def __add__(self, other):
-        self._check(other)
+        if self.field is not other.field:
+            self._check(other)
         if self.nrows != other.nrows or self.ncols != other.ncols:
             raise ValueError("shape mismatch in addition")
         pairs = zip(self.rows, other.rows)
-        rows = tuple(tuple(a + b for a, b in zip(ra, rb)) for ra, rb in pairs)
+        p = self.field.p
+        if p:
+            box = self.field._elems
+            rows = tuple(
+                tuple([box[(a.value + b.value) % p] for a, b in zip(ra, rb)])
+                for ra, rb in pairs
+            )
+        else:
+            rows = tuple(tuple(a + b for a, b in zip(ra, rb)) for ra, rb in pairs)
         return Matrix._of(self.field, self.nrows, self.ncols, rows)
 
     def __neg__(self):
@@ -90,14 +109,24 @@ class Matrix:
     def __mul__(self, other):
         if isinstance(other, FieldElem):
             return self.scale(other)
-        self._check(other)
+        if self.field is not other.field:
+            self._check(other)
         if self.ncols != other.nrows:
             raise ValueError(
                 f"shape mismatch: {self.nrows}x{self.ncols} times "
                 f"{other.nrows}x{other.ncols}"
             )
-        zero = self.field.zero()
         cols = list(zip(*other.rows)) if other.rows else [()] * other.ncols
+        p = self.field.p
+        if p:
+            box = self.field._elems
+            cols = [list(map(_value, col)) for col in cols]
+            out = []
+            for row in self.rows:
+                vals = list(map(_value, row))
+                out.append(tuple([box[sum(map(mul, vals, col)) % p] for col in cols]))
+            return Matrix._of(self.field, self.nrows, other.ncols, tuple(out))
+        zero = self.field.zero()
         out = []
         for row in self.rows:
             new_row = []
@@ -112,7 +141,12 @@ class Matrix:
 
     def scale(self, c) -> "Matrix":
         c = self.field.elem(c)
-        rows = tuple(tuple(a * c for a in r) for r in self.rows)
+        p = self.field.p
+        if p:
+            box, cv = self.field._elems, c.value
+            rows = tuple(tuple([box[a.value * cv % p] for a in r]) for r in self.rows)
+        else:
+            rows = tuple(tuple(a * c for a in r) for r in self.rows)
         return Matrix._of(self.field, self.nrows, self.ncols, rows)
 
     def map_entries(self, fn: Callable[[FieldElem], FieldElem]) -> "Matrix":
@@ -158,6 +192,13 @@ class Matrix:
     def mul_vec(self, vec: Sequence[FieldElem]) -> Tuple[FieldElem, ...]:
         if len(vec) != self.ncols:
             raise ValueError("vector length mismatch")
+        vec = _entries(self.field, vec)
+        p = self.field.p
+        if p:
+            box = self.field._elems
+            return tuple(
+                [box[sum(map(mul, map(_value, row), vec)) % p] for row in self.rows]
+            )
         zero = self.field.zero()
         out = []
         for row in self.rows:
@@ -170,11 +211,15 @@ class Matrix:
 
     # ---- elimination ----------------------------------------------------
 
-    def rref(self) -> Tuple["Matrix", List[int]]:
-        """Reduced row echelon form and the list of pivot columns."""
+    def _row_space(self) -> "EchelonSpace":
         space = EchelonSpace(self.field, self.ncols)
         for row in self.rows:
-            space.add(row)
+            space._put(list(map(_value, row)) if space._p else row)
+        return space
+
+    def rref(self) -> Tuple["Matrix", List[int]]:
+        """Reduced row echelon form and the list of pivot columns."""
+        space = self._row_space()
         zero = (self.field.zero(),) * self.ncols
         rows = tuple(space.rows) + (zero,) * (self.nrows - space.dim)
         return Matrix._of(self.field, self.nrows, self.ncols, rows), space.pivots
@@ -196,17 +241,7 @@ class Matrix:
 
     def nullspace(self) -> List[Tuple[FieldElem, ...]]:
         """Basis of the right kernel as row vectors."""
-        red, pivots = self.rref()
-        free = [c for c in range(self.ncols) if c not in pivots]
-        zero, one = self.field.zero(), self.field.one()
-        basis = []
-        for fc in free:
-            vec = [zero] * self.ncols
-            vec[fc] = one
-            for r, pc in enumerate(pivots):
-                vec[pc] = -red.rows[r][fc]
-            basis.append(tuple(vec))
-        return basis
+        return self._row_space()._kernel()
 
     def poly_eval(self, f: Poly) -> "Matrix":
         """Evaluate a polynomial (over the same field) at this square matrix."""
@@ -240,7 +275,7 @@ def gl_generators(field: FieldDesc, n: int) -> List[Tuple[Matrix, Matrix]]:
     def elementary(i, j, c):
         rows = [list(r) for r in Matrix.identity(field, n).rows]
         rows[i][j] = c
-        return Matrix(field, n, n, rows)
+        return Matrix._of(field, n, n, tuple(map(tuple, rows)))
 
     one = field.one()
     gens = [
@@ -268,7 +303,7 @@ def companion_matrix(f: Poly) -> Matrix:
         rows[k + 1][k] = one
     for k in range(e):
         rows[k][e - 1] = -f.coeff(k)
-    return Matrix(field, e, e, rows)
+    return Matrix._of(field, e, e, tuple(map(tuple, rows)))
 
 
 def iter_span(field: FieldDesc, basis: List[dict]) -> Iterator[dict]:
@@ -310,48 +345,136 @@ class EchelonSpace:
     """A growing subspace kept in reduced echelon form, rows sorted by pivot.
 
     This is the one elimination kernel: closures grow one, and
-    ``Matrix.rref`` inserts its rows into one.
+    ``Matrix.rref`` inserts its rows into one.  Every vector passed in must
+    have the ambient length and entries over ``field``.  Over GF(p) the rows
+    are kept as lists of int residues: ``add``, ``reduce`` and ``contains``
+    unbox their argument once, and ``rows`` and the vectors returned are boxed
+    on the way out.  Over Q and extension fields the rows are tuples of
+    elements.  ``_raw`` and ``_put`` are the unboxed entry points for callers
+    that stay in residues, such as the closure loop ``weightmod._spin``.
     """
 
     def __init__(self, field: FieldDesc, ambient_dim: int):
         self.field = field
         self.ambient = ambient_dim
-        self.rows: List[Tuple[FieldElem, ...]] = []
+        self._p = field.p  # nonzero exactly over a prime field
+        self._rows: list = []
         self.pivots: List[int] = []
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self._rows)
 
-    def reduce(self, vec: Sequence[FieldElem]) -> Tuple[FieldElem, ...]:
+    @property
+    def rows(self) -> List[Tuple[FieldElem, ...]]:
+        return [self._box(r) for r in self._rows] if self._p else self._rows
+
+    def _box(self, raw) -> Tuple[FieldElem, ...]:
+        return tuple(map(self.field._elems.__getitem__, raw))
+
+    def _raw(self, vec: Sequence[FieldElem]):
+        """A checked vector as the rows hold it: int residues over GF(p)."""
+        if len(vec) != self.ambient:
+            raise ValueError("vector length mismatch")
+        return _entries(self.field, vec)
+
+    def _reduce(self, vec):
+        p = self._p
+        if p:
+            for row, piv in zip(self._rows, self.pivots):
+                c = vec[piv]
+                if c:
+                    vec = [(a - c * b) % p for a, b in zip(vec, row)]
+            return vec
         vec = list(vec)
-        for row, p in zip(self.rows, self.pivots):
-            c = vec[p]
+        for row, piv in zip(self._rows, self.pivots):
+            c = vec[piv]
             if not c.is_zero():
                 vec = [a if b.is_zero() else a - c * b for a, b in zip(vec, row)]
         return tuple(vec)
 
-    def add(self, vec: Sequence[FieldElem]) -> Optional[Tuple[FieldElem, ...]]:
-        """Insert a vector; returns the reduced new basis vector, or None."""
-        red = self.reduce(vec)
-        pivot = next((i for i, a in enumerate(red) if not a.is_zero()), None)
-        if pivot is None:
-            return None
-        inv = red[pivot].inverse()
-        red = tuple(a * inv for a in red)
-        for i, row in enumerate(self.rows):
-            c = row[pivot]
-            if not c.is_zero():
-                self.rows[i] = tuple(
-                    a if b.is_zero() else a - c * b for a, b in zip(row, red)
-                )
+    def _put(self, vec):
+        """Insert a vector given as ``_raw`` returns it; returns the reduced
+        new basis vector in the same form, or None."""
+        red = self._reduce(vec)
+        p = self._p
+        if p:
+            pivot = next(itertools.compress(itertools.count(), red), None)  # first nonzero
+            if pivot is None:
+                return None
+            inv = pow(red[pivot], p - 2, p)
+            red = [a * inv % p for a in red]
+            for i, row in enumerate(self._rows):
+                c = row[pivot]
+                if c:
+                    self._rows[i] = [(a - c * b) % p for a, b in zip(row, red)]
+        else:
+            pivot = next((i for i, a in enumerate(red) if not a.is_zero()), None)
+            if pivot is None:
+                return None
+            inv = red[pivot].inverse()
+            red = tuple(a * inv for a in red)
+            for i, row in enumerate(self._rows):
+                c = row[pivot]
+                if not c.is_zero():
+                    self._rows[i] = tuple(
+                        a if b.is_zero() else a - c * b for a, b in zip(row, red)
+                    )
         at = bisect.bisect(self.pivots, pivot)
-        self.rows.insert(at, red)
+        self._rows.insert(at, red)
         self.pivots.insert(at, pivot)
         return red
 
+    def reduce(self, vec: Sequence[FieldElem]) -> Tuple[FieldElem, ...]:
+        red = self._reduce(self._raw(vec))
+        return self._box(red) if self._p else red
+
+    def add(self, vec: Sequence[FieldElem]) -> Optional[Tuple[FieldElem, ...]]:
+        """Insert a vector; returns the reduced new basis vector, or None."""
+        new = self._put(self._raw(vec))
+        return self._box(new) if self._p and new is not None else new
+
     def contains(self, vec: Sequence[FieldElem]) -> bool:
-        return all(a.is_zero() for a in self.reduce(vec))
+        red = self._reduce(self._raw(vec))
+        return not any(red) if self._p else all(a.is_zero() for a in red)
+
+    def _kernel(self) -> List[Tuple[FieldElem, ...]]:
+        """Basis of the vectors orthogonal to every row, one per free column."""
+        p = self._p
+        zero, one = (0, 1) if p else (self.field.zero(), self.field.one())
+        pivots = set(self.pivots)
+        basis = []
+        for fc in (c for c in range(self.ambient) if c not in pivots):
+            vec = [zero] * self.ambient
+            vec[fc] = one
+            for row, pc in zip(self._rows, self.pivots):
+                vec[pc] = -row[fc] % p if p else -row[fc]
+            basis.append(self._box(vec) if p else tuple(vec))
+        return basis
+
+
+def _residues(mat: Matrix) -> List[List[int]]:
+    """The rows of a matrix over GF(p) as lists of int residues."""
+    return [list(map(_value, row)) for row in mat.rows]
+
+
+def _raw_action(field: FieldDesc):
+    """``(prepare, image)`` for loops that stay in the form ``EchelonSpace``
+    keeps its rows in: ``prepare(mat)`` once per matrix, then
+    ``image(prepared, vec)`` maps a vector in that form (int residues over
+    GF(p)) to its image in that form."""
+    p = field.p
+    if not p:
+        return (lambda mat: mat), Matrix.mul_vec
+    return _residues, lambda rows, vec: [sum(map(mul, row, vec)) % p for row in rows]
+
+
+def _entries(field: FieldDesc, vec: Sequence[FieldElem]):
+    """The entries of a vector over ``field``: int residues over GF(p), else
+    the elements themselves.  An entry over another field is a FieldMismatch."""
+    if not all(a.field is field for a in vec) and any(a.field != field for a in vec):
+        raise FieldMismatch(f"vector entries outside {field}")
+    return list(map(_value, vec)) if field.p else vec
 
 
 def solve_intertwiners(
@@ -379,30 +502,31 @@ def solve_intertwiners(
         total += dims_cod[k] * dims_dom[k]
     if total == 0:
         return []
-    zero = field.zero()
-    eq_rows = []
+    # the equations go into one EchelonSpace; over GF(p) as int residues
+    p = field.p
+    zero = 0 if p else field.zero()
+    space = EchelonSpace(field, total)
     for src, tgt, a_dom, a_cod in constraints:
+        dom_rows = _residues(a_dom) if p else a_dom.rows
+        cod_rows = _residues(a_cod) if p else a_cod.rows
         # result shape: cod[tgt] x dom[src]
         for i in range(dims_cod[tgt]):
             for j in range(dims_dom[src]):
                 row = [zero] * total
                 # (Phi_tgt * A_dom)[i][j] = sum_k Phi_tgt[i][k] A_dom[k][j]
                 for k in range(dims_dom[tgt]):
-                    coef = a_dom.entry(k, j)
-                    if not coef.is_zero():
+                    coef = dom_rows[k][j]
+                    if (coef if p else not coef.is_zero()):
                         idx = offsets[tgt] + i * dims_dom[tgt] + k
                         row[idx] = row[idx] + coef
                 # -(A_cod * Phi_src)[i][j] = -sum_k A_cod[i][k] Phi_src[k][j]
                 for k in range(dims_cod[src]):
-                    coef = a_cod.entry(i, k)
-                    if not coef.is_zero():
+                    coef = cod_rows[i][k]
+                    if (coef if p else not coef.is_zero()):
                         idx = offsets[src] + k * dims_dom[src] + j
                         row[idx] = row[idx] - coef
-                eq_rows.append(tuple(row))
-    if not eq_rows:
-        eq_rows = [(zero,) * total]
-    system = Matrix._of(field, len(eq_rows), total, tuple(eq_rows))
-    basis = system.nullspace()
+                space._put([a % p for a in row] if p else tuple(row))
+    basis = space._kernel()
     out = []
     for vec in basis:
         sol = {}

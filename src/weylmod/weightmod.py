@@ -31,7 +31,13 @@ from .errors import (
     WindowTooSmall,
 )
 from .fields import FieldDesc, FieldElem, Poly, kbasis, rational_roots, to_kvec
-from .linalg import EchelonSpace, Matrix, has_proper_idempotent, solve_intertwiners
+from .linalg import (
+    EchelonSpace,
+    Matrix,
+    _raw_action,
+    has_proper_idempotent,
+    solve_intertwiners,
+)
 from .orbits import (
     ZERO_SHIFT,
     OrbitInfo,
@@ -695,17 +701,23 @@ def _by_source(lin: KLinearization, dual: bool = False) -> Dict[ShiftVector, lis
 
 
 def _spin(kfield, kdims, by_source, seeds) -> Dict[ShiftVector, EchelonSpace]:
-    """Smallest family of subspaces containing the seeds and stable under the ops."""
+    """Smallest family of subspaces containing the seeds and stable under the ops.
+
+    Over GF(p) the loop stays in int residues from seed to closure: the ops
+    and the seeds are unboxed once, and each image goes into its space as is.
+    """
     spaces = {g: EchelonSpace(kfield, d) for g, d in kdims.items()}
+    prepare, image = _raw_action(kfield)
+    by_source = {g: [(t, prepare(mat)) for t, mat in ops] for g, ops in by_source.items()}
     queue = []
     for gamma, vec in seeds:
-        new = spaces[gamma].add(vec)
+        new = spaces[gamma]._put(spaces[gamma]._raw(vec))
         if new is not None:
             queue.append((gamma, new))
     while queue:
         gamma, vec = queue.pop()
         for tgt, mat in by_source[gamma]:
-            new = spaces[tgt].add(mat.mul_vec(vec))
+            new = spaces[tgt]._put(image(mat, vec))
             if new is not None:
                 queue.append((tgt, new))
     return spaces

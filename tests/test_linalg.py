@@ -1,12 +1,15 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 from test_indecomp import _iter_invertible
+from weylmod.errors import FieldMismatch
 from weylmod.fields import GF, QQ, Poly, extend
 from weylmod.linalg import (
     EchelonSpace,
     Matrix,
+    companion_matrix,
     gl_generators,
     iter_matrices,
     iter_span,
@@ -168,7 +171,9 @@ def _reference_inverse(m):
 
 def _sparse_matrix(rng, field, r, c):
     """A random matrix with about 40% zero entries."""
-    if field.is_finite():
+    if field.p > 1000:  # too many elements to list
+        draw = lambda: rng.randrange(1, field.p)
+    elif field.is_finite():
         nonzero = [a for a in field.enumerate_elements() if not a.is_zero()]
         draw = lambda: rng.choice(nonzero)
     else:
@@ -179,8 +184,9 @@ def _sparse_matrix(rng, field, r, c):
 
 
 def test_rref_kernel_matches_column_sweep_reference():
+    # Q and GF(4) run on boxed elements, the prime fields on int residues
     rng = random.Random(11)
-    for field in (QQ, F2, F5, F4):
+    for field in (QQ, F2, F5, F4) + tuple(GF(p) for p in (3, 7, 101, 2**31 - 1)):
         for r in range(7):
             for c in range(7):
                 for _ in range(3):
@@ -190,6 +196,7 @@ def test_rref_kernel_matches_column_sweep_reference():
                     assert red.rows == ref_red.rows and pivots == ref_pivots
                     assert m.rank() == len(ref_pivots)
                     assert m.nullspace() == _reference_nullspace(m)
+                    _assert_same_as_public(red)
                     if r == c:
                         assert m.inverse() == _reference_inverse(m)
 
@@ -262,8 +269,11 @@ def test_computed_matrices_match_public_construction():
             results.append(Matrix.scalar(field, r, s))
             inverses = [m.inverse() for m in (a, b) if r == c]
             if field.is_finite():
-                inverses += [g.inverse() for g, _ in gl_generators(field, r)]
+                for g, g_inv in gl_generators(field, r):
+                    inverses += [g, g_inv, g.inverse()]
             results += [m for m in inverses if m is not None]
+            if r >= 1:
+                results.append(companion_matrix(Poly(field, [s] * r + [1])))
             for m in results:
                 _assert_same_as_public(m)
     for field, r, c in ((F2, 2, 2), (F4, 1, 2), (GF(3), 0, 2), (F5, 2, 0)):
@@ -294,3 +304,116 @@ def test_intertwiner_solver_rectangular():
     assert phi.entry(0, 0).is_zero()
     assert not phi.entry(0, 1).is_zero()
     assert phi * two == one * phi
+
+
+# ---- the int-coded GF(p) kernel ---------------------------------------------
+
+PRIMES = (2, 3, 5, 7, 101, 2**31 - 1)
+
+
+def _residue_rows(rng, p, r, c):
+    """Random int residues, about 40% of them zero."""
+    draw = lambda: 0 if rng.random() < 0.4 else rng.randrange(1, p)
+    return [[draw() for _ in range(c)] for _ in range(r)]
+
+
+def _int_product(a, b, p):
+    return [[sum(x * y for x, y in zip(row, col)) % p for col in zip(*b)] for row in a]
+
+
+def test_prime_field_products_match_plain_ints():
+    rng = random.Random(22)
+    for p in PRIMES:
+        field = GF(p)
+        for r, k, c in itertools.product(range(4), repeat=3):
+            a, b = _residue_rows(rng, p, r, k), _residue_rows(rng, p, k, c)
+            a2 = _residue_rows(rng, p, r, k)
+            vec = [rng.randrange(p) for _ in range(k)]
+            ma, mb, ma2 = Matrix(field, r, k, a), Matrix(field, k, c, b), Matrix(field, r, k, a2)
+            s = rng.randrange(p)
+            total = [[(x + y) % p for x, y in zip(u, v)] for u, v in zip(a, a2)]
+            expected = {
+                "product": Matrix(field, r, c, _int_product(a, b, p) if k else [[0] * c] * r),
+                "sum": Matrix(field, r, k, total),
+                "scale": Matrix(field, r, k, [[x * s % p for x in u] for u in a]),
+            }
+            got = {"product": ma * mb, "sum": ma + ma2, "scale": ma.scale(s)}
+            for name, m in got.items():
+                assert m == expected[name], (p, r, k, c, name)
+                _assert_same_as_public(m)
+            image = ma.mul_vec(tuple(field.from_int(x) for x in vec))
+            assert image == tuple(field.from_int(sum(x * y for x, y in zip(u, vec))) for u in a)
+
+
+def test_prime_field_echelon_space_agrees_with_boxed_elimination():
+    rng = random.Random(23)
+    for p in PRIMES:
+        field = GF(p)
+        space = EchelonSpace(field, 5)
+        kept = []
+        for row in _residue_rows(rng, p, 8, 5):
+            vec = tuple(field.from_int(x) for x in row)
+            was_in = space.contains(vec)
+            new = space.add(vec)
+            assert (new is None) == was_in
+            if new is not None:
+                kept.append(vec)
+                assert all(a.field is field for a in new) and new in space.rows
+            assert space.contains(vec) and not any(not a.is_zero() for a in space.reduce(vec))
+            ref_red, ref_pivots = _reference_rref(Matrix(field, len(kept), 5, kept))
+            assert space.rows == list(ref_red.rows) and space.pivots == ref_pivots
+
+
+def test_echelon_space_refuses_vectors_of_the_wrong_length():
+    for field in (GF(5), QQ, F4):
+        space = EchelonSpace(field, 3)
+        for vec in ((field.one(), field.zero()), (field.one(),) * 4):
+            for method in (space.add, space.reduce, space.contains):
+                with pytest.raises(ValueError, match="vector length mismatch"):
+                    method(vec)
+        assert space.dim == 0
+    with pytest.raises(ValueError, match="vector length mismatch"):
+        EchelonSpace(GF(5), 3).add((1, 2))
+
+
+def test_vectors_over_another_field_are_refused():
+    f7 = GF(7)
+    space = EchelonSpace(F5, 2)
+    with pytest.raises(FieldMismatch):
+        space.add((f7.one(), f7.zero()))
+    with pytest.raises(FieldMismatch):
+        space.contains((f7.zero(), f7.zero()))
+    with pytest.raises(FieldMismatch):
+        space.reduce((F5.one(), f7.zero()))
+    assert space.dim == 0
+    with pytest.raises(FieldMismatch):
+        Matrix(F5, 1, 2, [[1, 0]]).mul_vec((F5.one(), f7.from_int(3)))
+    # the boxed path checks too, also an element of a lower tower level
+    for field, stranger in ((QQ, F5.one()), (F4, F2.one()), (F4, F5.zero())):
+        with pytest.raises(FieldMismatch):
+            EchelonSpace(field, 2).add((field.one(), stranger))
+        with pytest.raises(FieldMismatch):
+            Matrix.identity(field, 2).mul_vec((stranger, field.zero()))
+
+
+def test_prime_fields_are_interned():
+    from weylmod import fields
+    from weylmod.jsonio import field_from_json, field_to_json
+
+    assert GF(5) is GF(5) and GF(5) is F5 and GF(7) is not GF(5)
+    assert GF(5) == GF(5) and hash(GF(5)) == hash(GF(5)) and GF(5) != GF(7)
+    assert field_from_json(field_to_json(GF(5))) is GF(5)
+    assert field_from_json({"kind": "GF", "p": 101}) is GF(101)
+    with pytest.raises(ValueError):
+        GF(4)
+    with pytest.raises(TypeError):
+        GF(5.0)
+    # elements come from one table per field, which holds only the residues
+    # boxed so far and stops growing at a fixed size
+    assert F5.from_int(7) is F5.from_int(2) and (F5.one() + F5.one()) is F5.from_int(2)
+    big = GF(1_000_003)
+    assert len(big._elems) == 0
+    assert big.from_int(-1).value == 1_000_002 and len(big._elems) == 1
+    boxed = [big.from_int(n) for n in range(2 * fields._ELEMS_KEPT)]
+    assert [e.value for e in boxed] == list(range(2 * fields._ELEMS_KEPT))
+    assert len(big._elems) == fields._ELEMS_KEPT

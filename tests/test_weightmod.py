@@ -534,9 +534,9 @@ def _monic_polys(field, degree, unit_constant):
             yield Poly(field, list(low) + [field.one()])
 
 
-def test_simplicity_agrees_with_exhaustive_reference():
-    # every monic N up to the given degree, irreducible and reducible alike,
-    # for each one-variable family; the modules have at most 5**5 vectors
+def _simplicity_reference_modules():
+    """Every S(desc, N) for monic N up to the given degree, irreducible and
+    reducible alike, for each one-variable family; at most 5**5 vectors."""
     f5 = GF(5)
     twisted = Poly(F2, [1, 1, 1])
     cases = [
@@ -546,7 +546,6 @@ def test_simplicity_agrees_with_exhaustive_reference():
         (SepMaxIdeal(F2, 1, {1: twisted}), 2),
         (SepMaxIdeal(F2, 2, {1: twisted, 2: Poly.x(F2)}), 1),
     ]
-    verdicts = []
     for ideal, max_degree in cases:
         info = orbit_info(ideal)
         residue = info.residue.desc
@@ -563,11 +562,74 @@ def test_simplicity_agrees_with_exhaustive_reference():
             else:
                 continue
             for n_gen in params:
-                module = build_S_char_p(info, desc, n_gen, check_simple=False)
-                expected = _reference_is_simple(module)
-                assert is_simple_finite(module) == expected
-                doubled = direct_sum(module, module)
-                assert not _reference_is_simple(doubled)
-                assert not is_simple_finite(doubled)
-                verdicts.append(expected)
+                yield build_S_char_p(info, desc, n_gen, check_simple=False)
+
+
+def test_simplicity_agrees_with_exhaustive_reference():
+    verdicts = []
+    for module in _simplicity_reference_modules():
+        expected = _reference_is_simple(module)
+        assert is_simple_finite(module) == expected
+        doubled = direct_sum(module, module)
+        assert not _reference_is_simple(doubled)
+        assert not is_simple_finite(doubled)
+        verdicts.append(expected)
     assert True in verdicts and False in verdicts
+
+
+def _reference_spin(kfield, kdims, by_source, seeds):
+    """Closure in boxed arithmetic: keep every image that raises the
+    column-sweep rank of the vectors kept at its weight; returns, per weight,
+    the reduced echelon rows of their span."""
+    from test_linalg import _reference_rref
+
+    kept = {g: [] for g in kdims}
+
+    def echelon(g, vecs):
+        red, pivots = _reference_rref(Matrix(kfield, len(vecs), kdims[g], vecs))
+        return list(red.rows[: len(pivots)])
+
+    queue = []
+    for g, vec in seeds:
+        if len(echelon(g, kept[g] + [vec])) > len(kept[g]):
+            kept[g].append(vec)
+            queue.append((g, vec))
+    while queue:
+        g, vec = queue.pop()
+        for tgt, mat in by_source[g]:
+            image = []
+            for row in mat.rows:
+                acc = kfield.zero()
+                for a, b in zip(row, vec):
+                    acc = acc + a * b
+                image.append(acc)
+            image = tuple(image)
+            if len(echelon(tgt, kept[tgt] + [image])) > len(kept[tgt]):
+                kept[tgt].append(image)
+                queue.append((tgt, image))
+    return {g: echelon(g, vecs) if vecs else [] for g, vecs in kept.items()}
+
+
+def test_spin_matches_boxed_reference_closure():
+    # the int-coded closure over GF(p) gives the same subspaces as boxed
+    # elimination, from each unit seed and from a mixed seed, on M and M*
+    closure_dims = set()
+    for module in _simplicity_reference_modules():
+        lin = KLinearization(module)
+        kfield, kdims = lin.kfield, lin.kdims
+        weights = [g for g in module.window if kdims[g]]
+        one = kfield.one()
+        seed_lists = [
+            [(g, tuple(one if t == s else kfield.zero() for t in range(kdims[g])))]
+            for g in weights
+            for s in range(kdims[g])
+        ]
+        seed_lists.append([(g, (one,) * kdims[g]) for g in weights])
+        for dual in (False, True):
+            by_source = _by_source(lin, dual=dual)
+            for seeds in seed_lists:
+                spaces = _spin(kfield, kdims, by_source, seeds)
+                expected = _reference_spin(kfield, kdims, by_source, seeds)
+                assert {g: spaces[g].rows for g in kdims} == expected
+                closure_dims.add(sum(s.dim for s in spaces.values()))
+    assert len(closure_dims) > 3
