@@ -20,15 +20,7 @@ from .errors import (
     WrongBreakOrder,
 )
 from .fields import FieldDesc, Poly, is_irreducible, iter_monic_polys
-from .linalg import (
-    Matrix,
-    companion_matrix,
-    gl_generators,
-    has_proper_idempotent,
-    iter_matrices,
-    iter_span,
-    solve_intertwiners,
-)
+from .linalg import Matrix, OpGraph, companion_matrix, gl_generators, iter_matrices
 from .orbits import ZERO_SHIFT, OrbitInfo, ShiftVector, Window
 from .simples import build_S_O_p
 from .weightmod import SkeletonModuleA, WeightModule, from_skeleton_module
@@ -95,6 +87,12 @@ class QuiverRep:
                     f"expected {self.dims[tgt]}x{self.dims[src]}"
                 )
             self.arrows[name] = mat
+
+    def graph(self) -> OpGraph:
+        """The arrows as operators between the vertex spaces, in layout order."""
+        _, layout = quiver_layout(self.quiver)
+        ops = [(src, tgt, self.arrows[name]) for name, (src, tgt) in layout.items()]
+        return OpGraph(self.field, self.dims, ops)
 
     def total_dim(self) -> int:
         return sum(self.dims.values())
@@ -310,64 +308,12 @@ def q2_indecomposables(
     return out
 
 
-# ---- hom spaces, isomorphism, indecomposability -----------------------------
-
-
-def hom_basis(rep1: QuiverRep, rep2: QuiverRep):
-    """Basis of intertwiners rep1 -> rep2."""
-    _, layout = quiver_layout(rep1.quiver)
-    constraints = [
-        (src, tgt, rep1.arrows[name], rep2.arrows[name])
-        for name, (src, tgt) in layout.items()
-    ]
-    return solve_intertwiners(rep1.field, rep1.dims, constraints, rep2.dims)
-
-
-def hom_dim(rep1: QuiverRep, rep2: QuiverRep) -> int:
-    return len(hom_basis(rep1, rep2))
-
-
-def are_isomorphic(rep1: QuiverRep, rep2: QuiverRep, *, budget: int = 1 << 16) -> bool:
-    """Exhaustive invertible-intertwiner search over a finite field."""
-    if rep1.dim_vector() != rep2.dim_vector():
-        return False
-    basis = hom_basis(rep1, rep2)
-    if not basis:
-        return rep1.total_dim() == 0
-    field = rep1.field
-    order = field.order()
-    if order is None or order ** len(basis) > budget:
-        raise EnumerationBudgetExceeded(
-            f"{order}**{len(basis)} intertwiners exceed the budget"
-        )
-    return any(
-        all(cand[v].inverse() is not None for v in cand if rep1.dims[v] > 0)
-        for cand in iter_span(field, basis)
-    )
-
-
-def rep_fingerprint(rep: QuiverRep) -> tuple:
-    """Isomorphism-invariant data: dimension vector plus arrow ranks."""
-    return (
-        rep.dim_vector(),
-        tuple((name, rep.arrows[name].rank()) for name in sorted(rep.arrows)),
-    )
+# ---- indecomposability -------------------------------------------------------
 
 
 def is_indecomposable_rep(rep: QuiverRep, *, budget: int = 1 << 16) -> bool:
     """Idempotent search in the endomorphism algebra (finite fields)."""
-    if rep.total_dim() == 0:
-        return False
-    basis = hom_basis(rep, rep)
-    field = rep.field
-    order = field.order()
-    if order is None:
-        raise EnumerationBudgetExceeded("exhaustive idempotent search needs a finite field")
-    if order ** len(basis) > budget:
-        raise EnumerationBudgetExceeded(
-            f"endomorphism algebra of size {order}**{len(basis)} exceeds budget"
-        )
-    return not has_proper_idempotent(field, basis)
+    return rep.graph().is_indecomposable(budget)
 
 
 # ---- brute-force enumeration oracle -----------------------------------------

@@ -12,11 +12,14 @@ the field's table of elements.  Q and extension fields compute on boxed
 ``FieldElem`` entries.  Both give the same elements: the reduced echelon form
 of a row space is unique.
 
+``OpGraph`` (a field, a dimension per vertex, (source, target, Matrix) ops)
+is the shape weight modules and quiver representations share, and the home
+of the one closure loop, Hom solver and exhaustive idempotent search.
+
 Only the public constructor ``Matrix(...)`` coerces entries and checks the
 shape; arithmetic, ``transpose``, ``rref``, ``inverse``, ``zeros``,
-``identity``, ``scalar``, ``iter_matrices`` and ``solve_intertwiners`` build
-their results with the trusted ``Matrix._of`` from entries already in the
-field.
+``identity``, ``scalar``, ``iter_matrices`` and the Hom solver build their
+results with the trusted ``Matrix._of`` from entries already in the field.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import itertools
 from operator import attrgetter, mul
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
-from .errors import FieldMismatch
+from .errors import EnumerationBudgetExceeded, FieldMismatch
 from .fields import FieldDesc, FieldElem, Poly
 
 _value = attrgetter("value")  # an element's residue, over GF(p)
@@ -351,7 +354,7 @@ class EchelonSpace:
     unbox their argument once, and ``rows`` and the vectors returned are boxed
     on the way out.  Over Q and extension fields the rows are tuples of
     elements.  ``_raw`` and ``_put`` are the unboxed entry points for callers
-    that stay in residues, such as the closure loop ``weightmod._spin``.
+    that stay in residues, such as the closure loop ``OpGraph.spin``.
     """
 
     def __init__(self, field: FieldDesc, ambient_dim: int):
@@ -458,17 +461,6 @@ def _residues(mat: Matrix) -> List[List[int]]:
     return [list(map(_value, row)) for row in mat.rows]
 
 
-def _raw_action(field: FieldDesc):
-    """``(prepare, image)`` for loops that stay in the form ``EchelonSpace``
-    keeps its rows in: ``prepare(mat)`` once per matrix, then
-    ``image(prepared, vec)`` maps a vector in that form (int residues over
-    GF(p)) to its image in that form."""
-    p = field.p
-    if not p:
-        return (lambda mat: mat), Matrix.mul_vec
-    return _residues, lambda rows, vec: [sum(map(mul, row, vec)) % p for row in rows]
-
-
 def _entries(field: FieldDesc, vec: Sequence[FieldElem]):
     """The entries of a vector over ``field``: int residues over GF(p), else
     the elements themselves.  An entry over another field is a FieldMismatch."""
@@ -477,53 +469,111 @@ def _entries(field: FieldDesc, vec: Sequence[FieldElem]):
     return list(map(_value, vec)) if field.p else vec
 
 
-def solve_intertwiners(
-    field: FieldDesc,
-    dims_dom: dict,
-    constraints: list,
-    dims_cod: Optional[dict] = None,
-) -> List[dict]:
-    """Basis of vertexwise maps Phi_v intertwining two operator families.
+class OpGraph:
+    """A field, a dimension per vertex and a list of (source, target, Matrix)
+    ops, each mapping the source's space to the target's; stored as given."""
 
-    Each Phi_v is a dims_cod[v] x dims_dom[v] matrix; every constraint
-    (src, tgt, A_dom, A_cod) imposes Phi_tgt A_dom = A_cod Phi_src, where
-    A_dom maps dom[src] -> dom[tgt] and A_cod maps cod[src] -> cod[tgt].
-    With dims_cod omitted this computes endomorphisms (A_cod = A_dom).
-    Returns a basis of solutions, each a dict vertex -> Matrix.
+    def __init__(self, field: FieldDesc, dims: dict, ops: list):
+        self.field = field
+        self.dims = dims
+        self.ops = ops
+        self._adjacency = {}  # dual -> {source: [(target, op)]}, built on first use
+
+    def spin(self, seeds, dual: bool = False) -> dict:
+        """Smallest family of subspaces (vertex -> EchelonSpace) containing
+        the (vertex, vector) seeds and stable under the ops, or with ``dual``
+        under their transposes (the dual module).  Over GF(p) it stays in int
+        residues: the ops are unboxed once per direction, each seed once."""
+        p = self.field.p
+        adj = self._adjacency.get(dual)
+        if adj is None:
+            adj = self._adjacency[dual] = {v: [] for v in self.dims}
+            for src, tgt, mat in self.ops:
+                if dual:
+                    src, tgt, mat = tgt, src, mat.transpose()
+                adj[src].append((tgt, _residues(mat) if p else mat))
+        spaces = {v: EchelonSpace(self.field, d) for v, d in self.dims.items()}
+        queue = []
+        for v, vec in seeds:
+            new = spaces[v]._put(spaces[v]._raw(vec))
+            if new is not None:
+                queue.append((v, new))
+        while queue:
+            v, vec = queue.pop()
+            for tgt, mat in adj[v]:
+                if p:
+                    new = spaces[tgt]._put([sum(map(mul, row, vec)) % p for row in mat])
+                else:
+                    new = spaces[tgt]._put(mat.mul_vec(vec))
+                if new is not None:
+                    queue.append((tgt, new))
+        return spaces
+
+    def is_indecomposable(self, budget: int) -> bool:
+        """Whether End holds no idempotent but 0 and 1, searched exhaustively;
+        the zero module is not indecomposable.  Raises
+        :class:`EnumerationBudgetExceeded` over an infinite field or when End
+        has more than ``budget`` elements."""
+        basis = solve_intertwiners(self, self)
+        if not basis:
+            return False  # the zero module
+        order = self.field.order()
+        if order is None:
+            raise EnumerationBudgetExceeded("exhaustive idempotent search needs a finite field")
+        if order ** len(basis) > budget:
+            raise EnumerationBudgetExceeded(
+                f"endomorphism algebra of size {order}**{len(basis)} exceeds budget"
+            )
+        return not has_proper_idempotent(self.field, basis)
+
+
+def solve_intertwiners(dom: OpGraph, cod: OpGraph) -> List[dict]:
+    """Basis of the vertexwise maps Phi_v: dom_v -> cod_v with Phi_tgt A =
+    B Phi_src for each aligned pair of ops (src, tgt, A) of dom and (src,
+    tgt, B) of cod, each solution a dict vertex -> Matrix; End(g) is
+    ``solve_intertwiners(g, g)``.  The unknowns are the entries of each
+    cod.dims[v] x dom.dims[v] matrix, vertices sorted by repr, row-major.
+    Raises FieldMismatch when the fields differ, ValueError when the
+    vertex sets or the (source, target) sequences of the ops differ.
     """
-    same = dims_cod is None
-    if same:
-        dims_cod = dims_dom
-    keys = sorted(dims_dom, key=repr)
+    field, dom_dims, cod_dims = dom.field, dom.dims, cod.dims
+    if dom is not cod:
+        if cod.field != field:
+            raise FieldMismatch(f"Hom between graphs over {field} and {cod.field}")
+        if dom_dims.keys() != cod_dims.keys():
+            raise ValueError("Hom between graphs with different vertices")
+        if [op[:2] for op in dom.ops] != [op[:2] for op in cod.ops]:
+            raise ValueError("Hom between graphs whose ops join different vertices")
+    keys = sorted(dom_dims, key=repr)
     offsets = {}
     total = 0
     for k in keys:
         offsets[k] = total
-        total += dims_cod[k] * dims_dom[k]
+        total += cod_dims[k] * dom_dims[k]
     if total == 0:
         return []
     # the equations go into one EchelonSpace; over GF(p) as int residues
     p = field.p
     zero = 0 if p else field.zero()
     space = EchelonSpace(field, total)
-    for src, tgt, a_dom, a_cod in constraints:
+    for (src, tgt, a_dom), (_, _, a_cod) in zip(dom.ops, cod.ops):
         dom_rows = _residues(a_dom) if p else a_dom.rows
-        cod_rows = _residues(a_cod) if p else a_cod.rows
+        cod_rows = dom_rows if a_cod is a_dom else _residues(a_cod) if p else a_cod.rows
         # result shape: cod[tgt] x dom[src]
-        for i in range(dims_cod[tgt]):
-            for j in range(dims_dom[src]):
+        for i in range(cod_dims[tgt]):
+            for j in range(dom_dims[src]):
                 row = [zero] * total
                 # (Phi_tgt * A_dom)[i][j] = sum_k Phi_tgt[i][k] A_dom[k][j]
-                for k in range(dims_dom[tgt]):
+                for k in range(dom_dims[tgt]):
                     coef = dom_rows[k][j]
                     if (coef if p else not coef.is_zero()):
-                        idx = offsets[tgt] + i * dims_dom[tgt] + k
+                        idx = offsets[tgt] + i * dom_dims[tgt] + k
                         row[idx] = row[idx] + coef
                 # -(A_cod * Phi_src)[i][j] = -sum_k A_cod[i][k] Phi_src[k][j]
-                for k in range(dims_cod[src]):
+                for k in range(cod_dims[src]):
                     coef = cod_rows[i][k]
                     if (coef if p else not coef.is_zero()):
-                        idx = offsets[src] + k * dims_dom[src] + j
+                        idx = offsets[src] + k * dom_dims[src] + j
                         row[idx] = row[idx] - coef
                 space._put([a % p for a in row] if p else tuple(row))
     basis = space._kernel()
@@ -531,7 +581,7 @@ def solve_intertwiners(
     for vec in basis:
         sol = {}
         for k in keys:
-            dc, dd = dims_cod[k], dims_dom[k]
+            dc, dd = cod_dims[k], dom_dims[k]
             start = offsets[k]
             rows = tuple(vec[start + i * dd : start + (i + 1) * dd] for i in range(dc))
             sol[k] = Matrix._of(field, dc, dd, rows)

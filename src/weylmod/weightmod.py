@@ -16,6 +16,10 @@ The two functors between weight modules and skeleton modules are exact
 mutually-inverse expansions: interior transitions of an expanded module are
 identities (raising) and edge scalars (lowering), and all of the classifying
 constructions elsewhere in the package are expansions of skeleton data.
+
+The oracles (closures, simplicity, indecomposability) run on the
+``linalg.OpGraph`` of a module's :class:`KLinearization`, the shape quiver
+representations share, with its one closure loop, Hom solver and search.
 """
 
 from __future__ import annotations
@@ -31,13 +35,7 @@ from .errors import (
     WindowTooSmall,
 )
 from .fields import FieldDesc, FieldElem, Poly, kbasis, rational_roots, to_kvec
-from .linalg import (
-    EchelonSpace,
-    Matrix,
-    _raw_action,
-    has_proper_idempotent,
-    solve_intertwiners,
-)
+from .linalg import Matrix, OpGraph, solve_intertwiners
 from .orbits import (
     ZERO_SHIFT,
     OrbitInfo,
@@ -613,7 +611,8 @@ class KLinearization:
     The residue field is flattened to coordinates over K; semilinear twists
     become honest K-linear blocks, and multiplication by the residue tower
     generators is included so that K-subspaces closed under these operators
-    are exactly the weight components of submodules.
+    are exactly the weight components of submodules.  ``graph`` holds the
+    result: the window weights with their K-dimensions, and the operators.
     """
 
     def __init__(self, module: WeightModule):
@@ -624,30 +623,21 @@ class KLinearization:
         self.basis = kbasis(self.residue.desc, self.kfield)
         self.ext = len(self.basis)
         self.kdims = {g: module.dim(g) * self.ext for g in module.window}
-        self.ops: List[Tuple[ShiftVector, ShiftVector, Matrix]] = []
+        self._blocks: Dict[tuple, tuple] = {}  # (entry, twist) -> block rows
+        step = module.window.step
+        ops = []
         for gamma in module.window:
             for i in module.window.indices:
-                xm = module.x(i, gamma)
-                if xm != OUT:
-                    self.ops.append(
-                        (
-                            gamma,
-                            module.window.step(gamma, i, 1),
-                            self.kblock(xm, module.x_twist(i)),
-                        )
-                    )
-                dm = module.d(i, gamma)
-                if dm != OUT:
-                    self.ops.append(
-                        (
-                            gamma,
-                            module.window.step(gamma, i, -1),
-                            self.kblock(dm, module.d_twist(i)),
-                        )
-                    )
+                for mat, sign, twist in (
+                    (module.x(i, gamma), 1, module.x_twist(i)),
+                    (module.d(i, gamma), -1, module.d_twist(i)),
+                ):
+                    if mat != OUT:
+                        ops.append((gamma, step(gamma, i, sign), self.kblock(mat, twist)))
             for gen in self._tower_gens():
                 mult = Matrix.scalar(self.residue.desc, module.dim(gamma), gen)
-                self.ops.append((gamma, gamma, self.kblock(mult, {})))
+                ops.append((gamma, gamma, self.kblock(mult, {})))
+        self.graph = OpGraph(self.kfield, self.kdims, ops)
 
     def _tower_gens(self):
         gens = []
@@ -668,59 +658,26 @@ class KLinearization:
         return Matrix._of(self.kfield, self.ext, self.ext, tuple(zip(*cols)))
 
     def kblock(self, mat: Matrix, twist: Dict[int, int]) -> Matrix:
-        out = Matrix.zeros(self.kfield, mat.nrows * self.ext, mat.ncols * self.ext)
-        rows = [list(r) for r in out.rows]
-        for r in range(mat.nrows):
-            for c in range(mat.ncols):
-                entry = mat.entry(r, c)
-                if entry.is_zero():
-                    continue
-                block = self._elem_block(entry, twist)
-                for br in range(self.ext):
-                    for bc in range(self.ext):
-                        rows[r * self.ext + br][c * self.ext + bc] = block.entry(br, bc)
-        return Matrix._of(
-            self.kfield, mat.nrows * self.ext, mat.ncols * self.ext, tuple(map(tuple, rows))
-        )
+        """Each entry of ``mat`` as its ext x ext block over K; each distinct
+        (entry, twist) block is computed once per linearization."""
+        ext, blocks, tw = self.ext, self._blocks, tuple(sorted(twist.items()))
+        rows = []
+        for row in mat.rows:
+            row_blocks = []
+            for entry in row:
+                key = (entry, tw)
+                if key not in blocks:
+                    blocks[key] = self._elem_block(entry, twist).rows
+                row_blocks.append(blocks[key])
+            for br in range(ext):
+                rows.append(tuple(itertools.chain.from_iterable(b[br] for b in row_blocks)))
+        return Matrix._of(self.kfield, mat.nrows * ext, mat.ncols * ext, tuple(rows))
 
     def kvec(self, gamma: ShiftVector, residue_vec) -> tuple:
         out = []
         for entry in residue_vec:
             out.extend(to_kvec(entry, self.kfield))
         return tuple(out)
-
-
-def _by_source(lin: KLinearization, dual: bool = False) -> Dict[ShiftVector, list]:
-    """The operators grouped by source weight; ``dual`` transposes them (M*)."""
-    out: Dict[ShiftVector, list] = {g: [] for g in lin.kdims}
-    for src, tgt, mat in lin.ops:
-        if dual:
-            src, tgt, mat = tgt, src, mat.transpose()
-        out[src].append((tgt, mat))
-    return out
-
-
-def _spin(kfield, kdims, by_source, seeds) -> Dict[ShiftVector, EchelonSpace]:
-    """Smallest family of subspaces containing the seeds and stable under the ops.
-
-    Over GF(p) the loop stays in int residues from seed to closure: the ops
-    and the seeds are unboxed once, and each image goes into its space as is.
-    """
-    spaces = {g: EchelonSpace(kfield, d) for g, d in kdims.items()}
-    prepare, image = _raw_action(kfield)
-    by_source = {g: [(t, prepare(mat)) for t, mat in ops] for g, ops in by_source.items()}
-    queue = []
-    for gamma, vec in seeds:
-        new = spaces[gamma]._put(spaces[gamma]._raw(vec))
-        if new is not None:
-            queue.append((gamma, new))
-    while queue:
-        gamma, vec = queue.pop()
-        for tgt, mat in by_source[gamma]:
-            new = spaces[tgt]._put(image(mat, vec))
-            if new is not None:
-                queue.append((tgt, new))
-    return spaces
 
 
 def submodule_closure(module: WeightModule, seeds) -> dict:
@@ -736,7 +693,7 @@ def submodule_closure(module: WeightModule, seeds) -> dict:
         if len(vec) != module.dim(gamma):
             raise ValueError(f"seed length mismatch at {gamma!r}")
         kseeds.append((gamma, lin.kvec(gamma, vec)))
-    spaces = _spin(lin.kfield, lin.kdims, _by_source(lin), kseeds)
+    spaces = lin.graph.spin(kseeds)
     return {
         "profile": {g: spaces[g].dim // lin.ext for g in module.window},
         "kdim": sum(s.dim for s in spaces.values()),
@@ -783,10 +740,9 @@ def is_simple_finite(module: WeightModule, *, max_vectors: int = 1 << 16) -> boo
     if not weights:
         return False
     kfield = lin.kfield
-    by_source = _by_source(lin)
 
-    def full(ops, seeds):
-        spaces = _spin(kfield, kdims, ops, seeds)
+    def full(seeds, dual=False):
+        spaces = lin.graph.spin(seeds, dual)
         return all(spaces[g].dim == kdims[g] for g in weights)
 
     g0 = min(weights, key=kdims.__getitem__)
@@ -794,11 +750,11 @@ def is_simple_finite(module: WeightModule, *, max_vectors: int = 1 << 16) -> boo
     order = kfield.order()
     finite = not module.has_out_tags() and order is not None
     if finite and order ** d0 <= max_vectors:
-        if not all(full(by_source, [(g0, vec)]) for vec in _iter_lines(lin, g0)):
+        if not all(full([(g0, vec)]) for vec in _iter_lines(lin, g0)):
             return False
-        return full(_by_source(lin, dual=True), [(g0, next(_iter_lines(lin, g0)))])
+        return full([(g0, next(_iter_lines(lin, g0)))], dual=True)
     # refutation only: any proper closure disproves simplicity
-    if not all(full(by_source, seeds) for seeds in _iter_unit_seeds(kfield, kdims, weights)):
+    if not all(full(seeds) for seeds in _iter_unit_seeds(kfield, kdims, weights)):
         return False
     if finite:
         raise EnumerationBudgetExceeded(
@@ -844,29 +800,22 @@ def is_indecomposable_finite(
     """Decide indecomposability via idempotents of the endomorphism algebra.
 
     Over finite fields the endomorphism algebra is enumerated exhaustively
-    within the budget.  Over infinite fields: a one-dimensional-over-residue
-    endomorphism algebra certifies indecomposability, and a rational
-    eigenvalue split of some endomorphism certifies decomposability.
+    within the budget (:meth:`OpGraph.is_indecomposable`).  Over infinite
+    fields: a one-dimensional-over-residue endomorphism algebra certifies
+    indecomposability, and a rational eigenvalue split of some endomorphism
+    certifies decomposability.
     """
     lin = KLinearization(module)
     kfield = lin.kfield
+    if kfield.order() is not None:
+        return lin.graph.is_indecomposable(max_endo)
+    basis = solve_intertwiners(lin.graph, lin.graph)
+    if not basis:
+        return False  # the zero module
     dims = lin.kdims
     weights = list(dims)
-    constraints = [(src, tgt, mat, mat) for src, tgt, mat in lin.ops]
-    basis = solve_intertwiners(kfield, dims, constraints)
-    dim_end = len(basis)
-    if dim_end == 0:
-        return False  # the zero module
-    order = kfield.order()
-    if order is not None:
-        if order ** dim_end > max_endo:
-            raise EnumerationBudgetExceeded(
-                f"endomorphism algebra of size {order}**{dim_end} exceeds budget"
-            )
-        return not has_proper_idempotent(kfield, basis)
-    # infinite base field
     if not module.info.tau or all(v == "one" for v in module.info.tau.values()):
-        if dim_end == lin.ext:
+        if len(basis) == lin.ext:
             return True
     for sol in basis + [
         {g: a[g] + b[g] for g in weights}

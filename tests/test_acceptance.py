@@ -11,7 +11,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
-
+from test_indecomp import rep_fingerprint
 from weylmod.fields import GF, QQ, Poly, extend
 from weylmod.heisenberg import graded_count, heisenberg_action_check
 from weylmod.indecomp import (
@@ -21,7 +21,6 @@ from weylmod.indecomp import (
     classify_block,
     q1_indecomposables,
     q2_indecomposables,
-    rep_fingerprint,
     rep_to_weight_module,
     weight_module_to_rep,
 )

@@ -3,13 +3,17 @@ from fractions import Fraction
 
 import pytest
 
-from weylmod.errors import EnumerationBudgetExceeded, RelationViolation, WrongBreakOrder
+from weylmod.errors import (
+    EnumerationBudgetExceeded,
+    FieldMismatch,
+    RelationViolation,
+    WrongBreakOrder,
+)
 from weylmod.fields import GF, QQ, Poly, extend
 from weylmod.indecomp import (
     Q1_VERTICES,
     Q2_VERTICES,
     QuiverRep,
-    are_isomorphic,
     band_module,
     brute_force_indecomposables,
     build_order1_modules,
@@ -17,19 +21,17 @@ from weylmod.indecomp import (
     check_quiver_relations,
     classify_block,
     companion_matrix,
-    hom_dim,
     ind0_polys,
     is_indecomposable_rep,
     q1_indecomposables,
     q2_indecomposables,
     quiver_layout,
-    rep_fingerprint,
     rep_to_weight_module,
     string_module,
     validate_quiver_rep,
     weight_module_to_rep,
 )
-from weylmod.linalg import Matrix, iter_matrices
+from weylmod.linalg import Matrix, OpGraph, iter_matrices, iter_span, solve_intertwiners
 from weylmod.orbits import SepMaxIdeal, ShiftVector, make_window, orbit_info
 from weylmod.simples import structural_simplicity_certificate
 from weylmod.weightmod import (
@@ -51,6 +53,88 @@ def order1_info():
 
 def order2_info():
     return orbit_info(SepMaxIdeal(QQ, 2, {1: Poly.x(QQ), 2: Poly.x(QQ)}))
+
+
+# ---- Hom, isomorphism and fingerprints (test-only) ---------------------------
+
+
+def hom_basis(rep1: QuiverRep, rep2: QuiverRep):
+    """Basis of intertwiners rep1 -> rep2."""
+    return solve_intertwiners(rep1.graph(), rep2.graph())
+
+
+def hom_dim(rep1: QuiverRep, rep2: QuiverRep) -> int:
+    return len(hom_basis(rep1, rep2))
+
+
+def are_isomorphic(rep1: QuiverRep, rep2: QuiverRep, *, budget: int = 1 << 16) -> bool:
+    """Exhaustive invertible-intertwiner search over a finite field."""
+    if rep1.dim_vector() != rep2.dim_vector():
+        return False
+    basis = hom_basis(rep1, rep2)
+    if not basis:
+        return rep1.total_dim() == 0
+    field = rep1.field
+    order = field.order()
+    if order is None or order ** len(basis) > budget:
+        raise EnumerationBudgetExceeded(
+            f"{order}**{len(basis)} intertwiners exceed the budget"
+        )
+    return any(
+        all(cand[v].inverse() is not None for v in cand if rep1.dims[v] > 0)
+        for cand in iter_span(field, basis)
+    )
+
+
+def rep_fingerprint(rep: QuiverRep) -> tuple:
+    """Isomorphism-invariant data: dimension vector plus arrow ranks."""
+    return (
+        rep.dim_vector(),
+        tuple((name, rep.arrows[name].rank()) for name in sorted(rep.arrows)),
+    )
+
+
+def _linearly_independent(field, basis):
+    flat = [
+        [a for v in sorted(sol, key=repr) for row in sol[v].rows for a in row] for sol in basis
+    ]
+    return not flat or Matrix(field, len(flat), len(flat[0]), flat).rank() == len(flat)
+
+
+def test_hom_solver_is_sound():
+    # every returned map intertwines every op pair, and the maps are independent
+    lists = [q2_indecomposables(F3, 3)] + [q1_indecomposables(f) for f in (F2, F3, QQ)]
+    for reps in lists:
+        for rep1, rep2 in itertools.product(reps, repeat=2):
+            dom, cod = rep1.graph(), rep2.graph()
+            basis = solve_intertwiners(dom, cod)
+            for sol in basis:
+                for (src, tgt, a), (_, _, b) in zip(dom.ops, cod.ops):
+                    assert sol[tgt] * a == b * sol[src], (rep1, rep2)
+            assert _linearly_independent(rep1.field, basis), (rep1, rep2)
+
+
+def test_hom_across_fields_is_refused():
+    # the solver once read the GF(3) arrows mod 2: Hom dimension 1, "isomorphic"
+    m2, m3 = q1_indecomposables(F2)[2], q1_indecomposables(F3)[2]
+    with pytest.raises(FieldMismatch):
+        solve_intertwiners(m2.graph(), m3.graph())
+    with pytest.raises(FieldMismatch):
+        are_isomorphic(m2, m3)
+
+
+def test_hom_across_quivers_is_refused():
+    # a q1 rep against a q2 rep once raised a bare KeyError
+    q1, q2 = q1_indecomposables(F2)[2], q2_indecomposables(F2, 2)[4]
+    with pytest.raises(ValueError, match="different vertices"):
+        solve_intertwiners(q1.graph(), q2.graph())
+    with pytest.raises(ValueError, match="different vertices"):
+        solve_intertwiners(q2.graph(), q1.graph())
+    # same vertices, but the ops run between other vertices
+    loop = QuiverRep("q1", F2, {1: 1, 2: 1}, {}).graph()
+    swapped = OpGraph(F2, loop.dims, [(t, s, m) for s, t, m in loop.ops])
+    with pytest.raises(ValueError, match="ops join different vertices"):
+        solve_intertwiners(loop, swapped)
 
 
 def test_block_classification_table():

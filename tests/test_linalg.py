@@ -9,6 +9,7 @@ from weylmod.fields import GF, QQ, Poly, extend
 from weylmod.linalg import (
     EchelonSpace,
     Matrix,
+    OpGraph,
     companion_matrix,
     gl_generators,
     iter_matrices,
@@ -296,7 +297,7 @@ def test_intertwiner_solver_rectangular():
     two = Matrix(QQ, 2, 2, [[1, 1], [0, 1]])
     one = Matrix(QQ, 1, 1, [[1]])
     sols = solve_intertwiners(
-        QQ, {"v": 2}, [("v", "v", two, one)], {"v": 1}
+        OpGraph(QQ, {"v": 2}, [("v", "v", two)]), OpGraph(QQ, {"v": 1}, [("v", "v", one)])
     )
     # Phi * two = one * Phi forces the first coordinate to vanish
     assert len(sols) == 1

@@ -19,8 +19,6 @@ from weylmod.weightmod import (
     KLinearization,
     RelationReport,
     WeightModule,
-    _by_source,
-    _spin,
     direct_sum,
     from_skeleton_module,
     is_indecomposable_finite,
@@ -508,7 +506,6 @@ def _reference_is_simple(module):
     if not weights:
         return False
     kfield = lin.kfield
-    by_source = _by_source(lin)
     elems = list(kfield.enumerate_elements())
     zero, one = kfield.zero(), kfield.one()
     total = sum(kdims[g] for g in weights)
@@ -521,7 +518,7 @@ def _reference_is_simple(module):
                 pos += kdims[g]
                 if any(not c.is_zero() for c in chunk):
                     seeds.append((g, chunk))
-            spaces = _spin(kfield, kdims, by_source, seeds)
+            spaces = lin.graph.spin(seeds)
             if any(spaces[g].dim < kdims[g] for g in weights):
                 return False
     return True
@@ -626,10 +623,55 @@ def test_spin_matches_boxed_reference_closure():
         ]
         seed_lists.append([(g, (one,) * kdims[g]) for g in weights])
         for dual in (False, True):
-            by_source = _by_source(lin, dual=dual)
+            by_source = {g: [] for g in kdims}
+            for src, tgt, mat in lin.graph.ops:
+                if dual:
+                    src, tgt, mat = tgt, src, mat.transpose()
+                by_source[src].append((tgt, mat))
             for seeds in seed_lists:
-                spaces = _spin(kfield, kdims, by_source, seeds)
+                spaces = lin.graph.spin(seeds, dual)
                 expected = _reference_spin(kfield, kdims, by_source, seeds)
                 assert {g: spaces[g].rows for g in kdims} == expected
                 closure_dims.add(sum(s.dim for s in spaces.values()))
     assert len(closure_dims) > 3
+
+
+def test_kblock_matches_block_by_block_build():
+    # the GF(2) t^2+t+1 tower: residue GF(4), ext 2, twisted raising and lowering
+    info = orbit_info(SepMaxIdeal(F2, 1, {1: Poly(F2, [1, 1, 1])}))
+    residue = info.residue.desc
+    cubic = Poly(residue, [residue.one(), residue.one(), residue.zero(), residue.one()])
+    module = build_S_char_p(info, classify_simples(info)[0], cubic)
+    calls = []
+
+    class Counting(KLinearization):
+        def _elem_block(self, elem, twist):
+            calls.append((elem, tuple(sorted(twist.items()))))
+            return super()._elem_block(elem, twist)
+
+    lin = Counting(module)
+    assert lin.ext == 2 and module.x_twist(1)
+    assert len(calls) == len(set(calls))  # each distinct block computed once
+    kfield, ext = lin.kfield, lin.ext
+
+    def reference(mat, twist):
+        rows = [[kfield.zero()] * (mat.ncols * ext) for _ in range(mat.nrows * ext)]
+        for r, c in itertools.product(range(mat.nrows), range(mat.ncols)):
+            if not mat.entry(r, c).is_zero():
+                block = lin._elem_block(mat.entry(r, c), twist)
+                for br, bc in itertools.product(range(ext), repeat=2):
+                    rows[r * ext + br][c * ext + bc] = block.entry(br, bc)
+        return Matrix(kfield, mat.nrows * ext, mat.ncols * ext, rows)
+
+    expected = []
+    window = module.window
+    for gamma in window:
+        for i in window.indices:
+            for mat, sign, twist in (
+                (module.x(i, gamma), 1, module.x_twist(i)),
+                (module.d(i, gamma), -1, module.d_twist(i)),
+            ):
+                expected.append((gamma, window.step(gamma, i, sign), reference(mat, twist)))
+        gen = Matrix.scalar(residue, module.dim(gamma), residue.gen())
+        expected.append((gamma, gamma, reference(gen, {})))
+    assert lin.graph.ops == expected
