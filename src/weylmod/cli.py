@@ -141,8 +141,10 @@ def cmd_indecomp_list(args):
             info.residue.desc, args.max_string, args.max_poly_deg
         )
         out["indecomposables"] = [jsonio.rep_to_json(r) for r in reps]
-    else:
-        out["indecomposables"] = "wild-or-deferred: no list is emitted"
+    elif block.value == "wild":
+        out["indecomposables"] = "wild: no list is emitted"
+    else:  # tame in characteristic p
+        out["indecomposables"] = "deferred: tame in characteristic p, no list is emitted"
     _emit(out)
 
 

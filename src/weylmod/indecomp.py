@@ -12,6 +12,7 @@ that recounts the indecomposable isomorphism classes from scratch.
 from __future__ import annotations
 
 import itertools
+from operator import itemgetter
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from .errors import (
@@ -319,39 +320,43 @@ def is_indecomposable_rep(rep: QuiverRep, *, budget: int = 1 << 16) -> bool:
 # ---- brute-force enumeration oracle -----------------------------------------
 
 
-def _iter_satisfying(quiver: str, field: FieldDesc, dims) -> Iterator[Dict[str, Matrix]]:
-    """Every arrow tuple satisfying the quiver's relations, as name -> Matrix.
+def _iter_satisfying(quiver: str, cands) -> Iterator[Tuple[int, ...]]:
+    """Every arrow tuple satisfying the quiver's relations, as index tuples.
 
+    ``cands`` maps each arrow name to its list of candidate matrices; a tuple
+    holds one position in those lists per arrow, in ``sorted(layout)`` order.
     Arrows are chosen depth first in layout order (each a_l, then b_l).  Each
     relation is checked as soon as its last arrow is chosen, once per choice
     of its candidates; a partial tuple that breaks one is dropped whole.
     """
     _, layout = quiver_layout(quiver)
     names = list(layout)
-    due = {name: [] for name in names}  # each relation under its last arrow
+    due = [[] for _ in names]  # each relation under its last arrow, with its memo
     for rel in QUIVER_RELATIONS[quiver]:
-        due[max(rel, key=names.index)].append(rel)
-    cands = {n: list(iter_matrices(field, dims[t], dims[s])) for n, (s, t) in layout.items()}
-    known = {}  # ids of a relation's chosen candidates -> whether it holds
+        due[max(map(names.index, rel))].append((rel, itemgetter(*map(names.index, rel)), {}))
+    out = itemgetter(*map(names.index, sorted(names)))
 
-    def holds(chosen, rel):
-        key = tuple(id(chosen[n]) for n in rel)
+    def holds(picked, rel, at, known):
+        key = at(picked)
         if key not in known:
-            known[key] = _relation_holds(chosen, rel)
+            known[key] = _relation_holds({n: cands[n][i] for n, i in zip(rel, key)}, rel)
         return known[key]
 
     # a loop: a recursive closure would be a reference cycle holding cands
-    chosen, stack = {}, [iter(cands[names[0]])]
+    picked, stack = [], [iter(range(len(cands[names[0]])))]
     while stack:
-        name = names[len(stack) - 1]
-        chosen[name] = next(stack[-1], None)
-        if chosen[name] is None:  # every candidate for this arrow is tried
+        depth = len(stack) - 1
+        del picked[depth:]
+        i = next(stack[-1], None)
+        if i is None:  # every candidate for this arrow is tried
             stack.pop()
-        elif all(holds(chosen, rel) for rel in due[name]):
+            continue
+        picked.append(i)
+        if all(holds(picked, *check) for check in due[depth]):
             if len(stack) == len(names):
-                yield dict(chosen)
+                yield out(picked)
             else:
-                stack.append(iter(cands[names[len(stack)]]))
+                stack.append(iter(range(len(cands[names[len(stack)]]))))
 
 
 def brute_force_indecomposables(
@@ -359,16 +364,20 @@ def brute_force_indecomposables(
 ) -> dict:
     """Recount indecomposable classes at one dimension vector from scratch.
 
-    Enumerates the relation-satisfying arrow tuples (``_iter_satisfying``
-    prunes a partial tuple once it breaks a relation), partitions them into
-    isomorphism classes, and filters to the indecomposable ones by idempotent
-    search.  A class is the orbit of the base-change group, the
-    product of GL(d_v) over the vertices, acting by A -> g_tgt A g_src^-1.
-    Each orbit is grown from one member by the generators of ``gl_generators``
-    at each vertex until nothing new appears; in a finite group the products
-    of generators are all of the group, so this closure is the whole orbit.
-    Representatives are the lexicographically least encodings of their
-    classes, so the output is deterministic.
+    An arrow tuple is a tuple of positions, one per arrow in ``sorted(layout)``
+    order, in the ``iter_matrices`` list of the arrow's shape.
+    ``_iter_satisfying`` enumerates the relation-satisfying tuples, pruning a
+    partial tuple once it breaks a relation.  They are partitioned into
+    isomorphism classes, the orbits of the base-change group, the product of
+    GL(d_v) over the vertices, acting by A -> g_tgt A g_src^-1.  Each orbit is
+    grown from one member by the generators of ``gl_generators`` at each vertex
+    until nothing new appears; in a finite group the products of generators
+    are all of the group, so this closure is the whole orbit.  A generator at v
+    moves only the arrows at v, each through a table of positions filled on
+    first use.  ``iter_matrices`` lists each shape in ``encoding`` order, so the
+    least tuple of a class, its representative, has the least encoding and the
+    output is deterministic.  Only the representatives become ``QuiverRep``s,
+    for the idempotent search and the output.
     """
     vertices, layout = quiver_layout(quiver)
     dims = _quiver_dims(quiver, dims)
@@ -383,62 +392,69 @@ def brute_force_indecomposables(
             f"enumeration size {work} exceeds budget {budget}"
         )
 
-    moves = None
+    names = sorted(layout)
+    cands = {n: list(iter_matrices(field, dims[t], dims[s])) for n, (s, t) in layout.items()}
+    index = {}  # arrow -> {rows: position}, shared by the moves of that arrow
+
+    def mover(name, v, g, g_inv):
+        """A candidate's position -> its image's under the move (v, g, g_inv)."""
+        src, tgt = layout[name]
+        mats = cands[name]
+        if name not in index:
+            index[name] = {mat.rows: i for i, mat in enumerate(mats)}
+        where, table = index[name], [None] * len(mats)
+
+        def step(i):
+            if table[i] is None:
+                mat = mats[i]
+                if tgt == v:
+                    mat = g * mat
+                if src == v:
+                    mat = mat * g_inv
+                table[i] = where[mat.rows]
+            return table[i]
+
+        return step
+
+    # each generator at v as the (position, step) pairs of the arrows at v
+    moves = [
+        [(k, mover(name, v, g, g_inv)) for k, name in enumerate(names) if v in layout[name]]
+        for v in vertices
+        for g, g_inv in gl_generators(field, dims[v])
+    ]
     seen = set()
     classes = []
     satisfying = 0
-    for arrows in _iter_satisfying(quiver, field, dims):
+    for start in _iter_satisfying(quiver, cands):
         satisfying += 1
-        rep = QuiverRep(quiver, field, dims, arrows)
-        enc = rep.encoding()
-        if enc in seen:
+        if start in seen:
             continue
-        if all(m.is_zero() for m in rep.arrows.values()):
-            # base changes fix a zero representation: singleton orbit
-            seen.add(enc)
-            classes.append(rep)
-            continue
-        if moves is None:
-            moves = [
-                (v, g, g_inv)
-                for v in vertices
-                for g, g_inv in gl_generators(field, dims[v])
-            ]
-        orbit = {enc}
-        best = (enc, rep)
-        frontier = [rep]
+        orbit = {start}
+        frontier = [start]
         while frontier:
             current = frontier.pop()
-            for v, g, g_inv in moves:
-                # a generator at v moves only the arrows that touch v
-                moved = {}
-                for name, (src, tgt) in layout.items():
-                    mat = current.arrows[name]
-                    if tgt == v:
-                        mat = g * mat
-                    if src == v:
-                        mat = mat * g_inv
-                    moved[name] = mat
-                twisted = QuiverRep(quiver, field, dims, moved)
-                code = twisted.encoding()
-                if code in orbit:
-                    continue
-                orbit.add(code)
-                frontier.append(twisted)
-                if code < best[0]:
-                    best = (code, twisted)
+            for touched in moves:
+                moved = list(current)
+                for k, step in touched:
+                    moved[k] = step(current[k])
+                moved = tuple(moved)
+                if moved not in orbit:
+                    orbit.add(moved)
+                    frontier.append(moved)
         seen.update(orbit)
-        classes.append(best[1])
+        classes.append(min(orbit))
 
-    indecomposables = [
-        rep for rep in classes if is_indecomposable_rep(rep, budget=budget)
-    ]
-    indecomposables.sort(key=lambda r: r.encoding())
+    indecomposables = []
+    for code in classes:
+        rep = QuiverRep(quiver, field, dims, {n: cands[n][i] for n, i in zip(names, code)})
+        if is_indecomposable_rep(rep, budget=budget):
+            indecomposables.append((code, rep))
+    indecomposables.sort(key=itemgetter(0))
     return {
         "relation_satisfying": satisfying,
         "classes": len(classes),
         "indecomposable_count": len(indecomposables),
-        "representatives": indecomposables,
+        "representatives": [rep for _, rep in indecomposables],
     }
 
 

@@ -149,6 +149,116 @@ def test_oracle_enumerate(capsys):
     assert len(data["representatives"]) == 2
 
 
+# the exact stdout of `oracle enumerate` on two vectors; a faster oracle must
+# print the same bytes
+ENUMERATE_Q2_GF2_1111 = (
+    '{"classes":39,"dims":[1,1,1,1],"indecomposable_count":14,"quiver":"q2",'
+    '"relation_satisfying":39,"representatives":['
+    '{"arrows":{"a0":[[0]],"a1":[[0]],"a2":[[0]],"a3":[[1]],"b0":[[1]],"b1":[[0]],'
+    '"b2":[[1]],"b3":[[0]]},"dims":{"0":1,"1":1,"2":1,"3":1},"field":{"kind":"GF",'
+    '"p":2},"label":"","quiver":"q2","schema":"weylmod/1","type":"quiver_rep"},'
+    '{"arrows":{"a0":[[0]],"a1":[[0]],"a2":[[1]],"a3":[[0]],"b0":[[0]],"b1":[[1]],'
+    '"b2":[[0]],"b3":[[1]]},"dims":{"0":1,"1":1,"2":1,"3":1},"field":{"kind":"GF",'
+    '"p":2},"label":"","quiver":"q2","schema":"weylmod/1","type":"quiver_rep"},'
+    '{"arrows":{"a0":[[0]],"a1":[[0]],"a2":[[1]],"a3":[[1]],"b0":[[1]],"b1":[[1]],'
+    '"b2":[[0]],"b3":[[0]]},"dims":{"0":1,"1":1,"2":1,"3":1},"field":{"kind":"GF",'
+    '"p":2},"label":"","quiver":"q2","schema":"weylmod/1","type":"quiver_rep"},'
+    '{"arrows":{"a0":[[0]],"a1":[[1]],"a2":[[0]],"a3":[[0]],"b0":[[1]],"b1":[[0]],'
+    '"b2":[[1]],"b3":[[0]]},"dims":{"0":1,"1":1,"2":1,"3":1},"field":{"kind":"GF",'
+    '"p":2},"label":"","quiver":"q2","schema":"weylmod/1","type":"quiver_rep"},'
+    '{"arrows":{"a0":[[0]],"a1":[[1]],"a2":[[0]],"a3":[[1]],"b0":[[0]],"b1":[[0]],'
+    '"b2":[[1]],"b3":[[0]]},"dims":{"0":1,"1":1,"2":1,"3":1},"field":{"kind":"GF",'
+    '"p":2},"label":"","quiver":"q2","schema":"weylmod/1","type":"quiver_rep"},'
+    '{"arrows":{"a0":[[0]],"a1":[[1]],"a2":[[0]],"a3":[[1]],"b0":[[1]],"b1":[[0]],'
+    '"b2":[[0]],"b3":[[0]]},"dims":{"0":1,"1":1,"2":1,"3":1},"field":{"kind":"GF",'
+    '"p":2},"label":"","quiver":"q2","schema":"weylmod/1","type":"quiver_rep"},'
+    '{"arrows":{"a0":[[0]],"a1":[[1]],"a2":[[0]],"a3":[[1]],"b0":[[1]],"b1":[[0]],'
+    '"b2":[[1]],"b3":[[0]]},"dims":{"0":1,"1":1,"2":1,"3":1},"field":{"kind":"GF",'
+    '"p":2},"label":"","quiver":"q2","schema":"weylmod/1","type":"quiver_rep"},'
+    '{"arrows":{"a0":[[0]],"a1":[[1]],"a2":[[1]],"a3":[[0]],"b0":[[1]],"b1":[[0]],'
+    '"b2":[[0]],"b3":[[1]]},"dims":{"0":1,"1":1,"2":1,"3":1},"field":{"kind":"GF",'
+    '"p":2},"label":"","quiver":"q2","schema":"weylmod/1","type":"quiver_rep"},'
+    '{"arrows":{"a0":[[1]],"a1":[[0]],"a2":[[0]],"a3":[[0]],"b0":[[0]],"b1":[[1]],'
+    '"b2":[[0]],"b3":[[1]]},"dims":{"0":1,"1":1,"2":1,"3":1},"field":{"kind":"GF",'
+    '"p":2},"label":"","quiver":"q2","schema":"weylmod/1","type":"quiver_rep"},'
+    '{"arrows":{"a0":[[1]],"a1":[[0]],"a2":[[0]],"a3":[[1]],"b0":[[0]],"b1":[[1]],'
+    '"b2":[[1]],"b3":[[0]]},"dims":{"0":1,"1":1,"2":1,"3":1},"field":{"kind":"GF",'
+    '"p":2},"label":"","quiver":"q2","schema":"weylmod/1","type":"quiver_rep"},'
+    '{"arrows":{"a0":[[1]],"a1":[[0]],"a2":[[1]],"a3":[[0]],"b0":[[0]],"b1":[[0]],'
+    '"b2":[[0]],"b3":[[1]]},"dims":{"0":1,"1":1,"2":1,"3":1},"field":{"kind":"GF",'
+    '"p":2},"label":"","quiver":"q2","schema":"weylmod/1","type":"quiver_rep"},'
+    '{"arrows":{"a0":[[1]],"a1":[[0]],"a2":[[1]],"a3":[[0]],"b0":[[0]],"b1":[[1]],'
+    '"b2":[[0]],"b3":[[0]]},"dims":{"0":1,"1":1,"2":1,"3":1},"field":{"kind":"GF",'
+    '"p":2},"label":"","quiver":"q2","schema":"weylmod/1","type":"quiver_rep"},'
+    '{"arrows":{"a0":[[1]],"a1":[[0]],"a2":[[1]],"a3":[[0]],"b0":[[0]],"b1":[[1]],'
+    '"b2":[[0]],"b3":[[1]]},"dims":{"0":1,"1":1,"2":1,"3":1},"field":{"kind":"GF",'
+    '"p":2},"label":"","quiver":"q2","schema":"weylmod/1","type":"quiver_rep"},'
+    '{"arrows":{"a0":[[1]],"a1":[[1]],"a2":[[0]],"a3":[[0]],"b0":[[0]],"b1":[[0]],'
+    '"b2":[[1]],"b3":[[1]]},"dims":{"0":1,"1":1,"2":1,"3":1},"field":{"kind":"GF",'
+    '"p":2},"label":"","quiver":"q2","schema":"weylmod/1","type":"quiver_rep"}],'
+    '"schema":"weylmod/1"}\n'
+)
+ENUMERATE_Q1_GF3_21 = (
+    '{"classes":3,"dims":[2,1],"indecomposable_count":0,"quiver":"q1",'
+    '"relation_satisfying":17,"representatives":[],"schema":"weylmod/1"}\n'
+)
+
+
+@pytest.mark.parametrize(
+    "quiver,field,dims,expected",
+    [
+        ("q2", "gf2", "1,1,1,1", ENUMERATE_Q2_GF2_1111),
+        ("q1", "gf3", "2,1", ENUMERATE_Q1_GF3_21),
+    ],
+)
+def test_oracle_enumerate_exact_output(capsys, quiver, field, dims, expected):
+    code, out = run(
+        capsys, "oracle", "enumerate", "--quiver", quiver, "--field", field, "--dims", dims
+    )
+    assert code == 0
+    assert out == expected
+
+
+IDEAL_WILD_F2 = {
+    "field": {"kind": "GF", "p": 2},
+    "arity": 2,
+    "generators": {"1": [1, 1, 1], "2": [1, 1]},
+}
+IDEAL_BREAK3 = {
+    "field": {"kind": "Q"},
+    "arity": 3,
+    "generators": {str(i): ["0/1", "1/1"] for i in (1, 2, 3)},
+}
+
+
+@pytest.mark.parametrize(
+    "ideal,expected",
+    [
+        (
+            IDEAL_STABLE_F2,
+            '{"block":"tame","indecomposables":"deferred: tame in characteristic p, '
+            'no list is emitted","reason":"Thm 7.10(ii): n = 1","schema":"weylmod/1"}\n',
+        ),
+        (
+            IDEAL_WILD_F2,
+            '{"block":"wild","indecomposables":"wild: no list is emitted",'
+            '"reason":"Thm 7.10(ii): n = 2","schema":"weylmod/1"}\n',
+        ),
+        (
+            IDEAL_BREAK3,
+            '{"block":"wild","indecomposables":"wild: no list is emitted",'
+            '"reason":"Thm 7.10(i): maximal break of order 3","schema":"weylmod/1"}\n',
+        ),
+    ],
+)
+def test_indecomp_list_without_a_list_says_why(tmp_path, capsys, ideal, expected):
+    # the text agrees with the block type: a tame block in characteristic p is
+    # deferred, a wild block is wild
+    code, out = run(capsys, "indecomp", "list", write(tmp_path, "ideal.json", ideal))
+    assert code == 0
+    assert out == expected
+
+
 def test_skeleton_show(tmp_path, capsys):
     path = write(tmp_path, "ideal.json", IDEAL_STABLE_F2)
     code, out = run(capsys, "skeleton", "show", path)

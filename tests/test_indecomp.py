@@ -13,7 +13,10 @@ from weylmod.fields import GF, QQ, Poly, extend
 from weylmod.indecomp import (
     Q1_VERTICES,
     Q2_VERTICES,
+    QUIVER_RELATIONS,
     QuiverRep,
+    _iter_satisfying,
+    _relation_holds,
     band_module,
     brute_force_indecomposables,
     build_order1_modules,
@@ -408,7 +411,9 @@ def _reference_classes(quiver, field, dims):
     return len(satisfying), classes
 
 
-def test_oracle_orbits_agree_with_gl_enumeration():
+def _oracle_vectors():
+    """The 93 dimension vectors on which the oracle is checked against the
+    exhaustive references."""
     vectors = [
         (quiver, field, dict(zip(vertices, d)))
         for quiver, vertices in (("q1", Q1_VERTICES), ("q2", Q2_VERTICES))
@@ -421,16 +426,92 @@ def test_oracle_orbits_agree_with_gl_enumeration():
         ("q2", F2, {0: 0, 1: 0, 2: 1, 3: 3}),
         ("q1", F2, {1: 2, 2: 2}),
     ]
+    return vectors
+
+
+def _assert_oracle_matches_reference(quiver, field, dims):
+    res = brute_force_indecomposables(quiver, field, dims)
+    satisfying, classes = _reference_classes(quiver, field, dims)
+    indecomposables = sorted(
+        rep.encoding() for rep in classes if is_indecomposable_rep(rep)
+    )
+    assert res["relation_satisfying"] == satisfying
+    assert res["classes"] == len(classes)
+    assert res["indecomposable_count"] == len(indecomposables)
+    assert [r.encoding() for r in res["representatives"]] == indecomposables
+
+
+def test_oracle_orbits_agree_with_gl_enumeration():
+    vectors = _oracle_vectors()
+    assert len(vectors) == 93
     for quiver, field, dims in vectors:
-        res = brute_force_indecomposables(quiver, field, dims)
-        satisfying, classes = _reference_classes(quiver, field, dims)
-        indecomposables = sorted(
-            rep.encoding() for rep in classes if is_indecomposable_rep(rep)
-        )
-        assert res["relation_satisfying"] == satisfying
-        assert res["classes"] == len(classes)
-        assert res["indecomposable_count"] == len(indecomposables)
-        assert [r.encoding() for r in res["representatives"]] == indecomposables
+        _assert_oracle_matches_reference(quiver, field, dims)
+
+
+def test_oracle_agrees_with_gl_enumeration_over_tower():
+    # GF(4) has a diagonal generator (c = x, x + 1), which GF(2) lacks, and a
+    # tower's elements are not interned, so positions are looked up by value
+    for quiver, dims in [
+        ("q1", (1, 1)),
+        ("q1", (2, 1)),
+        ("q2", (1, 1, 0, 0)),
+        ("q2", (1, 1, 1, 0)),
+        ("q2", (1, 0, 1, 0)),
+    ]:
+        vertices, _ = quiver_layout(quiver)
+        _assert_oracle_matches_reference(quiver, F4, dict(zip(vertices, dims)))
+
+
+def _reference_iter_satisfying(quiver, field, dims):
+    """Every relation-satisfying arrow tuple as name -> Matrix: the filter the
+    index-coded enumeration replaced, kept as its reference.  Arrows are chosen
+    depth first in layout order, and a partial tuple is dropped as soon as a
+    relation among its chosen arrows fails."""
+    _, layout = quiver_layout(quiver)
+    names = list(layout)
+    due = {name: [] for name in names}  # each relation under its last arrow
+    for rel in QUIVER_RELATIONS[quiver]:
+        due[max(rel, key=names.index)].append(rel)
+    cands = {n: list(iter_matrices(field, dims[t], dims[s])) for n, (s, t) in layout.items()}
+    chosen, stack = {}, [iter(cands[names[0]])]
+    while stack:
+        name = names[len(stack) - 1]
+        chosen[name] = next(stack[-1], None)
+        if chosen[name] is None:
+            stack.pop()
+        elif all(_relation_holds(chosen, rel) for rel in due[name]):
+            if len(stack) == len(names):
+                yield dict(chosen)
+            else:
+                stack.append(iter(cands[names[len(stack)]]))
+
+
+def test_index_enumeration_matches_reference_filter():
+    for quiver, field, dims in _oracle_vectors():
+        _, layout = quiver_layout(quiver)
+        names = sorted(layout)
+        cands = {
+            n: list(iter_matrices(field, dims[t], dims[s])) for n, (s, t) in layout.items()
+        }
+        decoded = [
+            tuple(cands[n][i] for n, i in zip(names, code))
+            for code in _iter_satisfying(quiver, cands)
+        ]
+        expected = {
+            tuple(arrows[n] for n in names)
+            for arrows in _reference_iter_satisfying(quiver, field, dims)
+        }
+        assert len(decoded) == len(set(decoded))
+        assert set(decoded) == expected, (quiver, field, dims)
+
+
+def test_iter_matrices_lists_in_encoding_order():
+    # the oracle's least index tuple is its least encoding because of this
+    for field in (F2, F3, F4):
+        for nrows, ncols in itertools.product(range(3), repeat=2):
+            codes = [m.encoding() for m in iter_matrices(field, nrows, ncols)]
+            assert len(codes) == field.order() ** (nrows * ncols)
+            assert codes == sorted(set(codes))
 
 
 def test_oracle_q2_spotcheck():

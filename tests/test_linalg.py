@@ -282,6 +282,15 @@ def test_computed_matrices_match_public_construction():
             _assert_same_as_public(m)
 
 
+def test_matrices_are_immutable():
+    # both constructors set the slots past __setattr__, which still refuses
+    for m in (Matrix(F2, 1, 1, [[1]]), Matrix.identity(F2, 1), Matrix.identity(F2, 1).scale(1)):
+        for name in Matrix.__slots__:
+            with pytest.raises(AttributeError, match="immutable"):
+                setattr(m, name, None)
+        assert m.rows == ((F2.one(),),) and (m.nrows, m.ncols) == (1, 1)
+
+
 def test_public_constructor_coerces_and_checks_shape():
     m = Matrix(QQ, 1, 3, [[2, Fraction(1, 2), QQ.from_int(-1)]])
     assert m.rows == ((QQ.from_int(2), QQ.from_fraction(Fraction(1, 2)), QQ.from_int(-1)),)
