@@ -151,11 +151,7 @@ def cmd_indecomp_list(args):
 def cmd_indecomp_build(args):
     info = orbit_info(_load_ideal(args.ideal))
     rep = jsonio.rep_from_json(_load(args.rep))
-    window = make_window(info, radius=args.window)
-    if rep.quiver == "q1":
-        module = ind.rep_to_weight_module(rep, info, window)
-    else:
-        module = ind.build_order2_module(info, rep, window)
+    module = ind.rep_to_weight_module(rep, info, make_window(info, radius=args.window))
     _emit(jsonio.module_to_json(module))
 
 

@@ -1,16 +1,19 @@
 """Block representation type, quiver indecomposables, and oracle enumeration.
 
-The tame blocks are governed by two quivers: a two-vertex quiver with one
-raising and one lowering arrow (order-one breaks), and a four-vertex cyclic
-quiver with commuting-square relations (order-two breaks).  This module emits
-the classification lists (simples, diamonds, strings, bands), converts quiver
-representations to and from skeleton-module data, expands them to weight
-modules, and provides a brute-force enumeration oracle over finite fields
-that recounts the indecomposable isomorphism classes from scratch.
+The tame blocks are governed by two quivers, the skeleton quivers of break
+orders one and two (``skeleton.skeleton_quiver``) under the names q1 and q2:
+a two-vertex quiver with one raising and one lowering arrow, and a
+four-vertex cyclic quiver with commuting-square relations.  Their relabelling
+is the only quiver data written here.  This module emits the classification
+lists (simples, diamonds, strings, bands), converts quiver representations to
+and from skeleton-module data, expands them to weight modules, and provides a
+brute-force enumeration oracle over finite fields that recounts the
+indecomposable isomorphism classes from scratch.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from operator import itemgetter
 from typing import Dict, Iterator, List, Optional, Tuple
@@ -24,31 +27,46 @@ from .fields import FieldDesc, Poly, is_irreducible, iter_monic_polys
 from .linalg import Matrix, OpGraph, companion_matrix, gl_generators, iter_matrices
 from .orbits import ZERO_SHIFT, OrbitInfo, ShiftVector, Window
 from .simples import build_S_O_p
-from .weightmod import SkeletonModuleA, WeightModule, from_skeleton_module
+from .skeleton import relation_holds, skeleton_quiver
+from .weightmod import SkeletonModuleA, WeightModule, from_skeleton_module, to_skeleton_module
 
-Q1_VERTICES = (1, 2)
-Q1_ARROWS = {"a": (1, 2), "b": (2, 1)}
+# The relabelling, by break order: the quiver's name, the vertex numbers of the
+# skeleton objects by their break bits, and the arrow names by their vertices,
+# in layout order.
+_NAMED_QUIVERS = {
+    1: ("q1", {(0,): 1, (1,): 2}, {"a": (1, 2), "b": (2, 1)}),
+    2: (
+        "q2",
+        {(0, 0): 0, (0, 1): 1, (1, 1): 2, (1, 0): 3},
+        {"a0": (0, 1), "b0": (1, 0), "a1": (1, 2), "b1": (2, 1),
+         "a2": (2, 3), "b2": (3, 2), "a3": (3, 0), "b3": (0, 3)},
+    ),
+}
+_LAYOUTS = {
+    name: (tuple(number.values()), layout) for name, number, layout in _NAMED_QUIVERS.values()
+}
 
-Q2_VERTICES = (0, 1, 2, 3)
-Q2_ARROWS = {}
-for _l in range(4):
-    Q2_ARROWS[f"a{_l}"] = (_l, (_l + 1) % 4)
-    Q2_ARROWS[f"b{_l}"] = ((_l + 1) % 4, _l)
+
+@functools.lru_cache(maxsize=None)
+def _relabelling(break_set: Tuple[int, ...]):
+    """The named quiver of a break set: its name, the vertex of each skeleton
+    object, the arrow name of each generator, and the relations as names."""
+    name, number, layout = _NAMED_QUIVERS[len(break_set)]
+    vertices, arrows, relations = skeleton_quiver(break_set)
+    vertex = {alpha: number[tuple(alpha.get(i) for i in break_set)] for alpha in vertices}
+    by_ends = {ends: arrow for arrow, ends in layout.items()}
+    names = {key: by_ends[vertex[s], vertex[t]] for key, (s, t) in arrows.items()}
+    return name, vertex, names, [tuple(map(names.get, rel)) for rel in relations]
+
 
 # Relations as arrow names: (x, y) says x.y = 0 and (x, y, u, v) says x.y = u.v.
-Q2_RELATIONS = [(f"{x}{l}", f"{y}{l}") for l in range(4) for x, y in ("ab", "ba")]
-Q2_RELATIONS += [
-    (f"a{(l + 1) % 4}", f"a{l}", f"b{(l + 2) % 4}", f"b{(l + 3) % 4}") for l in range(4)
-]
-QUIVER_RELATIONS = {"q1": [("a", "b"), ("b", "a")], "q2": Q2_RELATIONS}
+QUIVER_RELATIONS = {name: rels for name, _, _, rels in map(_relabelling, ((1,), (1, 2)))}
 
 
 def quiver_layout(quiver: str):
-    if quiver == "q1":
-        return Q1_VERTICES, Q1_ARROWS
-    if quiver == "q2":
-        return Q2_VERTICES, Q2_ARROWS
-    raise ValueError(f"unknown quiver {quiver!r}")
+    if quiver not in _LAYOUTS:
+        raise ValueError(f"unknown quiver {quiver!r}")
+    return _LAYOUTS[quiver]
 
 
 def _quiver_dims(quiver: str, dims) -> Dict[int, int]:
@@ -122,14 +140,9 @@ class QuiverRep:
         return f"QuiverRep({tag}, dims={self.dim_vector()})"
 
 
-def _relation_holds(arrows, rel) -> bool:
-    prod = arrows[rel[0]] * arrows[rel[1]]
-    return prod.is_zero() if len(rel) == 2 else prod == arrows[rel[2]] * arrows[rel[3]]
-
-
 def check_quiver_relations(rep: QuiverRep) -> bool:
     """Whether the representation satisfies its quiver's relations."""
-    return all(_relation_holds(rep.arrows, rel) for rel in QUIVER_RELATIONS[rep.quiver])
+    return all(relation_holds(rep.arrows, rel) for rel in QUIVER_RELATIONS[rep.quiver])
 
 
 def validate_quiver_rep(rep: QuiverRep):
@@ -162,9 +175,7 @@ def diamond_module(field: FieldDesc, i: int) -> QuiverRep:
         f"b{(i - 1) % 4}": one,
         f"b{(i - 2) % 4}": one,
     }
-    return QuiverRep(
-        "q2", field, {v: 1 for v in Q2_VERTICES}, arrows, label=f"M{i}"
-    )
+    return QuiverRep("q2", field, dict.fromkeys(quiver_layout("q2")[0], 1), arrows, label=f"M{i}")
 
 
 def string_module(field: FieldDesc, n: int, j: int, eps: int) -> QuiverRep:
@@ -176,15 +187,16 @@ def string_module(field: FieldDesc, n: int, j: int, eps: int) -> QuiverRep:
     """
     if n < 2:
         raise ValueError("strings need length at least 2")
+    vertices, layout = quiver_layout("q2")
     vertex = {k: (j + k - 1) % 4 for k in range(1, n + 1)}
-    slots: Dict[int, List[int]] = {v: [] for v in Q2_VERTICES}
+    slots: Dict[int, List[int]] = {v: [] for v in vertices}
     for k in range(1, n + 1):
         slots[vertex[k]].append(k)
-    dims = {v: len(slots[v]) for v in Q2_VERTICES}
+    dims = {v: len(slots[v]) for v in vertices}
     pos = {k: slots[vertex[k]].index(k) for k in vertex}
     entries = {
         name: [[field.zero()] * dims[src] for _ in range(dims[tgt])]
-        for name, (src, tgt) in Q2_ARROWS.items()
+        for name, (src, tgt) in layout.items()
     }
     one = field.one()
     for k in range(1, n):
@@ -195,7 +207,7 @@ def string_module(field: FieldDesc, n: int, j: int, eps: int) -> QuiverRep:
             entries[f"b{low}"][pos[k]][pos[k + 1]] = one
     arrows = {
         name: Matrix(field, dims[tgt], dims[src], entries[name])
-        for name, (src, tgt) in Q2_ARROWS.items()
+        for name, (src, tgt) in layout.items()
     }
     return QuiverRep("q2", field, dims, arrows, label=f"M({n},{j},{eps})")
 
@@ -212,7 +224,7 @@ def band_module(field: FieldDesc, f: Poly, variant: int) -> QuiverRep:
     else:
         raise ValueError("band variant must be 1 or 2")
     label = f"Mband({f!r},{variant})"
-    return QuiverRep("q2", field, {v: e for v in Q2_VERTICES}, arrows, label=label)
+    return QuiverRep("q2", field, dict.fromkeys(quiver_layout("q2")[0], e), arrows, label=label)
 
 
 def _poly_nth_root(f: Poly, n: int) -> Optional[Poly]:
@@ -290,15 +302,11 @@ def q2_indecomposables(
     max_string_len, and both band variants for every admissible parameter
     polynomial of degree at most max_poly_deg.
     """
-    out = []
-    for i in Q2_VERTICES:
-        out.append(
-            QuiverRep("q2", field, {i: 1}, {}, label=f"S{i}")
-        )
-    for i in Q2_VERTICES:
-        out.append(diamond_module(field, i))
+    vertices, _ = quiver_layout("q2")
+    out = [QuiverRep("q2", field, {i: 1}, {}, label=f"S{i}") for i in vertices]
+    out += [diamond_module(field, i) for i in vertices]
     for n in range(2, max_string_len + 1):
-        for j in Q2_VERTICES:
+        for j in vertices:
             for eps in (0, 1):
                 out.append(string_module(field, n, j, eps))
     for f in ind0_polys(field, max_poly_deg):
@@ -339,7 +347,7 @@ def _iter_satisfying(quiver: str, cands) -> Iterator[Tuple[int, ...]]:
     def holds(picked, rel, at, known):
         key = at(picked)
         if key not in known:
-            known[key] = _relation_holds({n: cands[n][i] for n, i in zip(rel, key)}, rel)
+            known[key] = relation_holds({n: cands[n][i] for n, i in zip(rel, key)}, rel)
         return known[key]
 
     # a loop: a recursive closure would be a reference cycle holding cands
@@ -497,108 +505,48 @@ def classify_block(info: OrbitInfo) -> RepType:
 # ---- weight modules for the tame blocks --------------------------------------
 
 
-def _skeleton_from_q1(rep: QuiverRep, info: OrbitInfo) -> SkeletonModuleA:
-    (i,) = info.break_set
-    delta0 = ZERO_SHIFT
-    delta1 = ShiftVector.e(i)
-    values = {delta0: rep.dims[1], delta1: rep.dims[2]}
-    return SkeletonModuleA(
-        info.residue.desc,
-        info.break_set,
-        values,
-        {(delta0, i): rep.arrows["a"]},
-        {(delta0, i): rep.arrows["b"]},
-    )
+def _block_relabelling(info: OrbitInfo, quiver: Optional[str] = None):
+    """The relabelling of the block's named quiver, which must be ``quiver``
+    when one is given; a block in characteristic p, or with a break of
+    another order, has none."""
+    named = _NAMED_QUIVERS.get(len(info.break_set)) if info.char == 0 else None
+    if named is None or quiver not in (None, named[0]):
+        block = f"characteristic {info.char}, break order {len(info.break_set)}"
+        raise WrongBreakOrder(f"no quiver {quiver or 'q1 or q2'} for the block ({block})")
+    return _relabelling(info.break_set)
 
 
-def _q1_from_skeleton(data: SkeletonModuleA, info: OrbitInfo, field) -> QuiverRep:
-    (i,) = info.break_set
-    delta0 = ZERO_SHIFT
-    delta1 = ShiftVector.e(i)
-    return QuiverRep(
-        "q1",
-        field,
-        {1: data.dim(delta0), 2: data.dim(delta1)},
-        {"a": data.a[(delta0, i)], "b": data.b[(delta0, i)]},
-    )
+def rep_to_skeleton_module(rep: QuiverRep, info: OrbitInfo) -> SkeletonModuleA:
+    """The skeleton data of a representation of the block's named quiver.
+
+    ``SkeletonModuleA`` checks the relations, so a representation that
+    breaks them raises :class:`RelationViolation` here.
+    """
+    _, vertex, names, _ = _block_relabelling(info, rep.quiver)
+    values = {alpha: rep.dims[v] for alpha, v in vertex.items()}
+    ab = {"a": {}, "b": {}}
+    for (letter, alpha, i), name in names.items():
+        ab[letter][alpha, i] = rep.arrows[name]
+    return SkeletonModuleA(info.residue.desc, info.break_set, values, ab["a"], ab["b"])
 
 
-# vertex labels of the four regions: base 0, raise i -> 3, raise j -> 1, both -> 2
-def _q2_vertex(delta: ShiftVector, i: int, j: int) -> int:
-    return {(0, 0): 0, (1, 0): 3, (0, 1): 1, (1, 1): 2}[(delta.get(i), delta.get(j))]
-
-
-_Q2_ARROW_OF_CROSSING = {
-    # (kind, bit at the other break index) -> arrow name, for break pair (i, j)
-    ("a_i", 0): "b3",
-    ("a_i", 1): "a1",
-    ("b_i", 0): "a3",
-    ("b_i", 1): "b1",
-    ("a_j", 0): "a0",
-    ("a_j", 1): "b2",
-    ("b_j", 0): "b0",
-    ("b_j", 1): "a2",
-}
-
-
-def _skeleton_from_q2(rep: QuiverRep, info: OrbitInfo) -> SkeletonModuleA:
-    i, j = info.break_set
-    values = {
-        delta: rep.dims[_q2_vertex(delta, i, j)] for delta in info.skeleton
-    }
-    a, b = {}, {}
-    for delta in info.skeleton:
-        if delta.get(i) == 0:
-            a[(delta, i)] = rep.arrows[_Q2_ARROW_OF_CROSSING[("a_i", delta.get(j))]]
-            b[(delta, i)] = rep.arrows[_Q2_ARROW_OF_CROSSING[("b_i", delta.get(j))]]
-        if delta.get(j) == 0:
-            a[(delta, j)] = rep.arrows[_Q2_ARROW_OF_CROSSING[("a_j", delta.get(i))]]
-            b[(delta, j)] = rep.arrows[_Q2_ARROW_OF_CROSSING[("b_j", delta.get(i))]]
-    return SkeletonModuleA(info.residue.desc, info.break_set, values, a, b)
-
-
-def _q2_from_skeleton(data: SkeletonModuleA, info: OrbitInfo, field) -> QuiverRep:
-    i, j = info.break_set
-    dims = {}
-    arrows = {}
-    for delta in info.skeleton:
-        dims[_q2_vertex(delta, i, j)] = data.dim(delta)
-        if delta.get(i) == 0:
-            arrows[_Q2_ARROW_OF_CROSSING[("a_i", delta.get(j))]] = data.a[(delta, i)]
-            arrows[_Q2_ARROW_OF_CROSSING[("b_i", delta.get(j))]] = data.b[(delta, i)]
-        if delta.get(j) == 0:
-            arrows[_Q2_ARROW_OF_CROSSING[("a_j", delta.get(i))]] = data.a[(delta, j)]
-            arrows[_Q2_ARROW_OF_CROSSING[("b_j", delta.get(i))]] = data.b[(delta, j)]
-    return QuiverRep("q2", field, dims, arrows)
+def skeleton_module_to_rep(data: SkeletonModuleA, info: OrbitInfo) -> QuiverRep:
+    """The representation of the block's named quiver made of skeleton data."""
+    quiver, vertex, names, _ = _block_relabelling(info)
+    dims = {v: data.dim(alpha) for alpha, v in vertex.items()}
+    return QuiverRep(quiver, data.field, dims, {n: data.arrows[k] for k, n in names.items()})
 
 
 def rep_to_weight_module(
     rep: QuiverRep, info: OrbitInfo, window: Optional[Window] = None
 ) -> WeightModule:
     """Expand a quiver representation of the block's quiver to a weight module."""
-    validate_quiver_rep(rep)
-    if rep.quiver == "q1":
-        if len(info.break_set) != 1:
-            raise WrongBreakOrder("the two-vertex quiver needs an order-1 break")
-        data = _skeleton_from_q1(rep, info)
-    else:
-        if len(info.break_set) != 2:
-            raise WrongBreakOrder("the four-vertex quiver needs an order-2 break")
-        data = _skeleton_from_q2(rep, info)
-    return from_skeleton_module(data, info, window)
+    return from_skeleton_module(rep_to_skeleton_module(rep, info), info, window)
 
 
 def weight_module_to_rep(module: WeightModule) -> QuiverRep:
     """Read the quiver representation back off a tame-block weight module."""
-    from .weightmod import to_skeleton_module
-
-    info = module.info
-    data = to_skeleton_module(module)
-    if len(info.break_set) == 1:
-        return _q1_from_skeleton(data, info, module.field)
-    if len(info.break_set) == 2:
-        return _q2_from_skeleton(data, info, module.field)
-    raise WrongBreakOrder("quiver readback needs a break of order 1 or 2")
+    return skeleton_module_to_rep(to_skeleton_module(module), module.info)
 
 
 def build_order1_modules(
@@ -627,8 +575,6 @@ def build_order2_module(
     info: OrbitInfo, rep: QuiverRep, window: Optional[Window] = None
 ) -> WeightModule:
     """Expand a four-vertex quiver representation over an order-2 break."""
-    if info.char != 0 or len(info.break_set) != 2:
-        raise WrongBreakOrder("needs characteristic zero and an order-2 break")
     if rep.quiver != "q2":
         raise WrongBreakOrder("representation is not over the four-vertex quiver")
     return rep_to_weight_module(rep, info, window)

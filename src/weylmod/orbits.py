@@ -445,6 +445,14 @@ class OrbitInfo:
         )
 
 
+def zero_one_vectors(indices) -> Tuple[ShiftVector, ...]:
+    """The 0/1 vectors on the indices in ``sort_key`` order: over a break set,
+    the characteristic-zero skeleton objects."""
+    bits = itertools.product((0, 1), repeat=len(indices))
+    vectors = (ShiftVector(dict(zip(indices, b))) for b in bits)
+    return tuple(sorted(vectors, key=ShiftVector.sort_key))
+
+
 def orbit_info(m: SepMaxIdeal) -> OrbitInfo:
     """Analyze the orbit of an ideal: breaks, periods, regions, residue data.
 
@@ -498,14 +506,7 @@ def orbit_info(m: SepMaxIdeal) -> OrbitInfo:
     break_set = tuple(sorted(breaks))
     kind = "linear" if char == 0 else "cyclic"
 
-    if break_set and kind == "linear":
-        skeleton = tuple(
-            ShiftVector({i: b for i, b in zip(break_set, bits)})
-            for bits in itertools.product((0, 1), repeat=len(break_set))
-        )
-        skeleton = tuple(sorted(skeleton, key=lambda g: g.sort_key()))
-    else:
-        skeleton = (ZERO_SHIFT,)
+    skeleton = zero_one_vectors(break_set) if kind == "linear" else (ZERO_SHIFT,)
 
     return OrbitInfo(
         base=base,

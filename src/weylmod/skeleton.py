@@ -7,17 +7,23 @@ so the commuting squares hold definitionally).  Positive characteristic gives
 a one-object algebra with generators a_i, b_i over the break set, invertible
 c_j elsewhere, and coefficients twisted by the residue-field automorphisms.
 
+The characteristic-zero algebra is stated once, as the quiver with relations
+:func:`skeleton_quiver`; ``build_skeleton``, ``weightmod.SkeletonModuleA``
+and the quivers q1 and q2 of ``indecomp`` read it, and all test relations
+with :func:`relation_holds`.
+
 Skeleton objects are represented by ShiftVector values with 0/1 entries, the
 same coordinates used for orbit regions.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Dict, Tuple
 
 from .errors import FieldMismatch, ObjectMismatch
 from .fields import FieldDesc, FieldElem
-from .orbits import ZERO_SHIFT, OrbitInfo, ResidueField, ShiftVector
+from .orbits import ZERO_SHIFT, OrbitInfo, ResidueField, ShiftVector, zero_one_vectors
 
 SkelObjectA = ShiftVector  # 0/1-supported vector over the break index set
 
@@ -254,6 +260,51 @@ def compose_B(u: SkelMorphismB, v: SkelMorphismB, tau: TauAction) -> SkelMorphis
     return SkelMorphismB(coeff, word)
 
 
+@functools.lru_cache(maxsize=None)
+def skeleton_quiver(break_set: Tuple[int, ...]):
+    """The characteristic-zero skeleton algebra of a break set, as a quiver:
+    (vertices, arrows, relations).
+
+    The vertices are the 0/1 vectors on the break set, in ``sort_key`` order.
+    ``arrows`` maps each generator ("a", alpha, i), alpha -> alpha + e_i, and
+    ("b", alpha, i), back, to its (source, target).  ``relations`` are arrow
+    words, (x, y) for x.y = 0 and (x, y, u, v) for x.y = u.v, x.y meaning y
+    then x: b.a = a.b = 0 at each crossing, and on each square of two break
+    indices i < j, from each corner, crossing j then i equals i then j.
+    """
+    vertices = zero_one_vectors(break_set)
+
+    def cross(gamma, i):  # the arrow leaving gamma across break index i
+        return ("a", gamma, i) if gamma.get(i) == 0 else ("b", gamma.step(i, -1), i)
+
+    def flip(gamma, i):
+        return gamma.step(i, 1 - 2 * gamma.get(i))
+
+    arrows, relations = {}, []
+    for alpha in vertices:
+        for i in break_set:
+            if alpha.get(i) != 0:
+                continue
+            up = alpha.step(i, 1)
+            arrows[("a", alpha, i)] = (alpha, up)
+            arrows[("b", alpha, i)] = (up, alpha)
+            relations += [(cross(up, i), cross(alpha, i)), (cross(alpha, i), cross(up, i))]
+            relations += [
+                (cross(flip(c, j), i), cross(c, j), cross(flip(c, i), j), cross(c, i))
+                for j in break_set
+                if j > i and alpha.get(j) == 0
+                for c in (alpha, alpha.step(j, 1), up, up.step(j, 1))
+            ]
+    return vertices, arrows, tuple(relations)
+
+
+def relation_holds(arrows, rel) -> bool:
+    """Whether the matrices ``arrows`` satisfy one relation, written as in
+    :func:`skeleton_quiver` with x.y the matrix product."""
+    prod = arrows[rel[0]] * arrows[rel[1]]
+    return prod.is_zero() if len(rel) == 2 else prod == arrows[rel[2]] * arrows[rel[3]]
+
+
 class SkeletonAlgebra:
     """Descriptor of the skeleton algebra of one orbit, with the functor data.
 
@@ -301,34 +352,23 @@ def build_skeleton(info: OrbitInfo) -> SkeletonAlgebra:
     """The skeleton algebra of the orbit, with generator realizations.
 
     Characteristic zero: the finite category on the region representatives,
-    generated by one raising and one lowering step at each break index.
-    Characteristic p: the one-object algebra whose generators are realized by
-    full cycles of raising (or lowering) steps in each direction.
+    generated by one raising and one lowering step at each break index
+    (:func:`skeleton_quiver`).  Characteristic p: the one-object algebra whose
+    generators are realized by full cycles of raising (or lowering) steps in
+    each direction.
     """
     if info.char == 0:
-        objects = info.skeleton
-        gmap = {}
-        relations = []
-        for alpha in objects:
-            for i in info.break_set:
-                if alpha.get(i) != 0:
-                    continue
-                beta = alpha.step(i, 1)
-                gmap[("a", alpha, i)] = _path(alpha, [("X", i)])
-                gmap[("b", alpha, i)] = _path(beta, [("Y", i)])
-                relations.append(("zero", _path(alpha, [("X", i), ("Y", i)])))
-                relations.append(("zero", _path(beta, [("Y", i), ("X", i)])))
-                for j in info.break_set:
-                    if j <= i or alpha.get(j) != 0:
-                        continue
-                    for li in ("X", "Y"):
-                        for lj in ("X", "Y"):
-                            si = alpha if li == "X" else alpha.step(i, 1)
-                            sj = si if lj == "X" else si.step(j, 1)
-                            # interchange the two steps from the same corner
-                            one = _path(sj, [(lj, j), (li, i)])
-                            two = _path(sj, [(li, i), (lj, j)])
-                            relations.append(("equal", one, two))
+        objects, arrows, words = skeleton_quiver(info.break_set)
+
+        def path(word):  # x.y is y first: the steps run right to left
+            steps = [("X" if letter == "a" else "Y", i) for letter, _, i in reversed(word)]
+            return _path(arrows[word[-1]][0], steps)
+
+        gmap = {key: path((key,)) for key in arrows}
+        relations = [
+            ("zero", path(rel)) if len(rel) == 2 else ("equal", path(rel[:2]), path(rel[2:]))
+            for rel in words
+        ]
         return SkeletonAlgebra("A", info, objects, gmap, relations)
 
     gmap = {}

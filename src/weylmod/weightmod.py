@@ -44,6 +44,7 @@ from .orbits import (
     canonical_skeleton_rep,
     make_window,
 )
+from .skeleton import relation_holds, skeleton_quiver
 
 OUT = "out"  # tag for transitions whose target weight leaves the window
 
@@ -327,10 +328,13 @@ def verify_relations(module: WeightModule) -> RelationReport:
 
 
 class SkeletonModuleA:
-    """A module over the characteristic-zero skeleton algebra.
+    """A module over the characteristic-zero skeleton algebra, checked when built.
 
     values: dict skeleton object -> dimension; a/b: dict (object, index) ->
-    matrix, keyed by the object whose bit at the index is 0.
+    matrix, keyed by the object whose bit at the index is 0.  There must be
+    one matrix per arrow of ``skeleton_quiver(break_set)``, of the arrow's
+    shape, and together they must satisfy its relations; otherwise
+    :class:`RelationViolation` is raised.
     """
 
     def __init__(self, field: FieldDesc, break_set, values, a, b):
@@ -339,46 +343,24 @@ class SkeletonModuleA:
         self.values = dict(values)
         self.a = dict(a)
         self.b = dict(b)
+        _, arrows, relations = skeleton_quiver(self.break_set)
+        given = len(self.a) + len(self.b)
+        if given != len(arrows):
+            raise RelationViolation(f"{given} matrices for {len(arrows)} arrows")
+        self.arrows = {}  # the matrices by skeleton generator
+        for (letter, alpha, i), (src, tgt) in arrows.items():
+            mat = (self.a if letter == "a" else self.b).get((alpha, i))
+            if mat is None or (mat.nrows, mat.ncols) != (self.dim(tgt), self.dim(src)):
+                raise RelationViolation(f"{letter}-matrix shape at ({alpha!r},{i})")
+            self.arrows[letter, alpha, i] = mat
+        for rel in relations:
+            if not relation_holds(self.arrows, rel):
+                names = [f"{l}_{i}[{alpha!r}]" for l, alpha, i in rel]
+                rhs = ".".join(names[2:]) or "0"
+                raise RelationViolation(f"relation {names[0]}.{names[1]} = {rhs} fails")
 
     def dim(self, alpha: ShiftVector) -> int:
         return self.values.get(alpha, 0)
-
-    def validate(self):
-        """Check shapes and the defining relations of the skeleton algebra."""
-        for (alpha, i), mat in self.a.items():
-            beta = alpha.step(i, 1)
-            if mat.nrows != self.dim(beta) or mat.ncols != self.dim(alpha):
-                raise RelationViolation(f"a-matrix shape at ({alpha!r},{i})")
-        for (alpha, i), mat in self.b.items():
-            beta = alpha.step(i, 1)
-            if mat.nrows != self.dim(alpha) or mat.ncols != self.dim(beta):
-                raise RelationViolation(f"b-matrix shape at ({alpha!r},{i})")
-        for (alpha, i) in self.a:
-            ab = self.a[(alpha, i)] * self.b[(alpha, i)]
-            ba = self.b[(alpha, i)] * self.a[(alpha, i)]
-            if not ab.is_zero() or not ba.is_zero():
-                raise RelationViolation(f"ab relation fails at ({alpha!r},{i})")
-        for (alpha, i) in self.a:
-            for j in self.break_set:
-                if j <= i or alpha.get(j) != 0:
-                    continue
-                self._check_square(alpha, i, j)
-        return self
-
-    def _check_square(self, alpha, i, j):
-        ai, aj = alpha.step(i, 1), alpha.step(j, 1)
-        aij = ai.step(j, 1)
-        pairs = [
-            (self.a[(aj, i)] * self.a[(alpha, j)], self.a[(ai, j)] * self.a[(alpha, i)]),
-            (self.a[(alpha, i)] * self.b[(alpha, j)], self.b[(ai, j)] * self.a[(aj, i)]),
-            (self.a[(alpha, j)] * self.b[(alpha, i)], self.b[(aj, i)] * self.a[(ai, j)]),
-            (self.b[(alpha, j)] * self.b[(aj, i)], self.b[(alpha, i)] * self.b[(ai, j)]),
-        ]
-        for n, (lhs, rhs) in enumerate(pairs):
-            if lhs != rhs:
-                raise RelationViolation(
-                    f"commuting square {n} fails at ({alpha!r},{i},{j})"
-                )
 
 
 class SkeletonModuleB:
@@ -459,7 +441,6 @@ def _expand_A(data: SkeletonModuleA, info: OrbitInfo, window) -> WeightModule:
         raise RelationViolation("two-sided skeleton data needs characteristic zero")
     if data.break_set != info.break_set:
         raise RelationViolation("skeleton data built for a different break set")
-    data.validate()
     if window is None:
         window = make_window(info)
     field = info.residue.desc
@@ -558,7 +539,7 @@ def to_skeleton_module(module: WeightModule):
                     continue
                 a[(delta, i)], up = module.evaluate_path(delta, [("X", i)])
                 b[(delta, i)], _ = module.evaluate_path(up, [("Y", i)])
-        return SkeletonModuleA(module.field, info.break_set, values, a, b).validate()
+        return SkeletonModuleA(module.field, info.break_set, values, a, b)
 
     amat, bmat, cmat = {}, {}, {}
     for i in info.break_set:
@@ -803,8 +784,13 @@ def is_indecomposable_finite(
     within the budget (:meth:`OpGraph.is_indecomposable`).  Over infinite
     fields: a one-dimensional-over-residue endomorphism algebra certifies
     indecomposability, and a rational eigenvalue split of some endomorphism
-    certifies decomposability.
+    certifies decomposability.  A characteristic-zero window that misses a
+    skeleton object sees only part of the module, so there
+    :class:`InfiniteDimension` is raised instead of an answer.
     """
+    info = module.info
+    if info.char == 0 and any(delta not in module.window for delta in info.skeleton):
+        raise InfiniteDimension("the window misses a region of the orbit")
     lin = KLinearization(module)
     kfield = lin.kfield
     if kfield.order() is not None:

@@ -126,6 +126,59 @@ def test_indecomp_build(tmp_path, capsys):
     assert json.loads(out)["ok"] is True
 
 
+IDEAL_BREAK1 = {
+    "schema": "weylmod/1",
+    "type": "ideal",
+    "field": {"kind": "Q"},
+    "arity": 1,
+    "generators": {"1": ["0/1", "1/1"]},
+}
+
+# the exact stdout of `indecomp build` for the q1 module M_a and for the q2
+# band of parameter t + 2 (variant 2), on radius-1 windows
+INDECOMP_BUILD_Q1_M_A = (
+    '{"box":{"indices":[1],"kind":"box","radius":1},"d":{"1":{"":[["-1/1"]],'
+    '"1:-1":"out","1:1":[["0/1"]]}},"orbit":{"arity":1,"field":{"kind":"Q"},'
+    '"generators":{"1":["0/1","1/1"]},"schema":"weylmod/1","type":"ideal"},'
+    '"schema":"weylmod/1","spaces":{"":1,"1:-1":1,"1:1":1},"type":"module",'
+    '"window":["","1:-1","1:1"],"x":{"1":{"":[["1/1"]],"1:-1":[["1/1"]],'
+    '"1:1":"out"}}}\n'
+)
+INDECOMP_BUILD_Q2_BAND = (
+    '{"box":{"indices":[1,2],"kind":"box","radius":1},"d":{"1":{"":[["-1/1"]],'
+    '"1:-1":"out","1:-1,2:-1":"out","1:-1,2:1":"out","1:1":[["-2/1"]],"1:1,'
+    '2:-1":[["-2/1"]],"1:1,2:1":[["0/1"]],"2:-1":[["-1/1"]],"2:1":[["-1/1"]]},'
+    '"2":{"":[["-1/1"]],"1:-1":[["-1/1"]],"1:-1,2:-1":"out","1:-1,2:1":[["1/1"]],'
+    '"1:1":[["-1/1"]],"1:1,2:-1":"out","1:1,2:1":[["0/1"]],"2:-1":"out",'
+    '"2:1":[["1/1"]]}},"orbit":{"arity":2,"field":{"kind":"Q"},'
+    '"generators":{"1":["0/1","1/1"],"2":["0/1","1/1"]},"schema":"weylmod/1",'
+    '"type":"ideal"},"schema":"weylmod/1","spaces":{"":1,"1:-1":1,"1:-1,2:-1":1,'
+    '"1:-1,2:1":1,"1:1":1,"1:1,2:-1":1,"1:1,2:1":1,"2:-1":1,"2:1":1},'
+    '"type":"module","window":["","1:-1","1:-1,2:-1","1:-1,2:1","1:1","1:1,2:-1",'
+    '"1:1,2:1","2:-1","2:1"],"x":{"1":{"":[["0/1"]],"1:-1":[["1/1"]],"1:-1,'
+    '2:-1":[["1/1"]],"1:-1,2:1":[["1/1"]],"1:1":"out","1:1,2:-1":"out","1:1,'
+    '2:1":"out","2:-1":[["0/1"]],"2:1":[["1/1"]]},"2":{"":[["0/1"]],'
+    '"1:-1":[["0/1"]],"1:-1,2:-1":[["1/1"]],"1:-1,2:1":"out","1:1":[["1/1"]],'
+    '"1:1,2:-1":[["1/1"]],"1:1,2:1":"out","2:-1":[["1/1"]],"2:1":"out"}}}\n'
+)
+
+
+@pytest.mark.parametrize(
+    "ideal,list_args,pick,expected",
+    [
+        (IDEAL_BREAK1, (), 2, INDECOMP_BUILD_Q1_M_A),
+        (IDEAL_BREAK2, ("--max-string", "2", "--max-poly-deg", "1"), -1, INDECOMP_BUILD_Q2_BAND),
+    ],
+)
+def test_indecomp_build_exact_output(tmp_path, capsys, ideal, list_args, pick, expected):
+    path = write(tmp_path, "ideal.json", ideal)
+    code, out = run(capsys, "indecomp", "list", path, *list_args)
+    rep_path = write(tmp_path, "rep.json", json.loads(out)["indecomposables"][pick])
+    code, out = run(capsys, "indecomp", "build", path, "--rep", rep_path, "--window", "1")
+    assert code == 0
+    assert out == expected
+
+
 def test_unknown_arrow_in_rep_is_a_schema_error(tmp_path, capsys):
     ideal = write(tmp_path, "ideal.json", IDEAL_BREAK2)
     code, out = run(capsys, "indecomp", "list", ideal, "--max-string", "2", "--max-poly-deg", "1")
@@ -267,6 +320,43 @@ def test_skeleton_show(tmp_path, capsys):
     assert data["kind"] == "B"
     assert data["tau"] == {"1": "sigma"}
     assert data["generator_map"][0]["steps"] == [["X", 1]]
+
+
+# the exact stdout of `skeleton show` on the order-2 ideal over Q
+SKELETON_SHOW_BREAK2 = (
+    '{"break_set":[1,2],"field":{"kind":"Q"},"generator_map":[{"generator":"a",'
+    '"index":1,"object":{},"start":{},"steps":[["X",1]]},{"generator":"a",'
+    '"index":2,"object":{},"start":{},"steps":[["X",2]]},{"generator":"a",'
+    '"index":2,"object":{"1":1},"start":{"1":1},"steps":[["X",2]]},'
+    '{"generator":"a","index":1,"object":{"2":1},"start":{"2":1},"steps":[["X",'
+    '1]]},{"generator":"b","index":1,"object":{},"start":{"1":1},"steps":[["Y",'
+    '1]]},{"generator":"b","index":2,"object":{},"start":{"2":1},"steps":[["Y",'
+    '2]]},{"generator":"b","index":2,"object":{"1":1},"start":{"1":1,"2":1},'
+    '"steps":[["Y",2]]},{"generator":"b","index":1,"object":{"2":1},'
+    '"start":{"1":1,"2":1},"steps":[["Y",1]]}],"kind":"A","linear":true,'
+    '"nonbreak_set":[],"objects":[{},{"1":1},{"1":1,"2":1},{"2":1}],'
+    '"schema":"weylmod/1","tau":{"1":"one","2":"one"}}\n'
+)
+
+
+def test_skeleton_show_exact_output_char0(tmp_path, capsys):
+    code, out = run(capsys, "skeleton", "show", write(tmp_path, "ideal.json", IDEAL_BREAK2))
+    assert code == 0
+    assert out == SKELETON_SHOW_BREAK2
+
+
+def test_indec_check_refuses_a_window_that_misses_a_region(tmp_path, capsys):
+    from weylmod import jsonio
+    from weylmod.indecomp import QuiverRep, build_order2_module
+    from weylmod.orbits import make_window, orbit_info
+
+    info = orbit_info(jsonio.ideal_from_json(IDEAL_BREAK2))
+    pair = QuiverRep("q2", info.residue.desc, {0: 1, 1: 1}, {})  # S0 + S1
+    module = build_order2_module(info, pair, make_window(info, 2, indices=[1]))
+    path = write(tmp_path, "module.json", jsonio.module_to_json(module))
+    code, out = run(capsys, "module", "indec-check", path)
+    assert code == 1
+    assert json.loads(out)["error"]["name"] == "InfiniteDimension"
 
 
 def test_heisenberg_commands(capsys):

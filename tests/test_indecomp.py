@@ -6,17 +6,16 @@ import pytest
 from weylmod.errors import (
     EnumerationBudgetExceeded,
     FieldMismatch,
+    InfiniteDimension,
     RelationViolation,
     WrongBreakOrder,
 )
 from weylmod.fields import GF, QQ, Poly, extend
 from weylmod.indecomp import (
-    Q1_VERTICES,
-    Q2_VERTICES,
     QUIVER_RELATIONS,
     QuiverRep,
     _iter_satisfying,
-    _relation_holds,
+    _relabelling,
     band_module,
     brute_force_indecomposables,
     build_order1_modules,
@@ -37,6 +36,7 @@ from weylmod.indecomp import (
 from weylmod.linalg import Matrix, OpGraph, iter_matrices, iter_span, solve_intertwiners
 from weylmod.orbits import SepMaxIdeal, ShiftVector, make_window, orbit_info
 from weylmod.simples import structural_simplicity_certificate
+from weylmod.skeleton import build_skeleton, relation_holds
 from weylmod.weightmod import (
     is_indecomposable_finite,
     is_simple_finite,
@@ -321,6 +321,88 @@ def _reference_check_relations(rep):
     return True
 
 
+# The q2 quiver data written out by hand: the references for the derived
+# relations and the relabelling.
+_reference_q2_relations = [(f"{x}{l}", f"{y}{l}") for l in range(4) for x, y in ("ab", "ba")]
+_reference_q2_relations += [
+    (f"a{(l + 1) % 4}", f"a{l}", f"b{(l + 2) % 4}", f"b{(l + 3) % 4}") for l in range(4)
+]
+
+
+# vertex labels of the four regions: base 0, raise i -> 3, raise j -> 1, both -> 2
+def _reference_q2_vertex(delta, i, j):
+    return {(0, 0): 0, (1, 0): 3, (0, 1): 1, (1, 1): 2}[(delta.get(i), delta.get(j))]
+
+
+_reference_q2_arrow_of_crossing = {
+    # (kind, bit at the other break index) -> arrow name, for break pair (i, j)
+    ("a_i", 0): "b3",
+    ("a_i", 1): "a1",
+    ("b_i", 0): "a3",
+    ("b_i", 1): "b1",
+    ("a_j", 0): "a0",
+    ("a_j", 1): "b2",
+    ("b_j", 0): "b0",
+    ("b_j", 1): "a2",
+}
+
+
+def _relation_set(relations):
+    """Relations up to their order and the order of a square's two sides."""
+    return {rel if len(rel) == 2 else frozenset((rel[:2], rel[2:])) for rel in relations}
+
+
+def test_named_relations_are_the_reference_relations():
+    assert len(QUIVER_RELATIONS["q1"]) == 2 and len(QUIVER_RELATIONS["q2"]) == 12
+    assert _relation_set(QUIVER_RELATIONS["q1"]) == {("a", "b"), ("b", "a")}
+    assert _relation_set(QUIVER_RELATIONS["q2"]) == _relation_set(_reference_q2_relations)
+
+
+def test_relabelling_is_the_reference_relabelling():
+    for i in (1, 3):
+        assert _relabelling((i,))[:3] == (
+            "q1",
+            {ZERO: 1, ShiftVector.e(i): 2},
+            {("a", ZERO, i): "a", ("b", ZERO, i): "b"},
+        )
+    for i, j in ((1, 2), (1, 3), (2, 5)):
+        quiver, vertex, names, _ = _relabelling((i, j))
+        assert quiver == "q2"
+        assert len(vertex) == 4 and len(names) == 8
+        for delta, v in vertex.items():
+            assert v == _reference_q2_vertex(delta, i, j)
+        for (letter, alpha, k), name in names.items():
+            other = j if k == i else i
+            kind = f"{letter}_{'i' if k == i else 'j'}"
+            assert name == _reference_q2_arrow_of_crossing[(kind, alpha.get(other))]
+
+
+def test_build_skeleton_relations_read_as_named_words():
+    # each relation path, read one step at a time through the generator map
+    half = Poly(QQ, [Fraction(-1, 2), 1])
+    x = Poly.x(QQ)
+    for gens, quiver in [
+        ({1: x}, "q1"),
+        ({1: half, 2: x}, "q1"),
+        ({1: x, 2: x}, "q2"),
+        ({1: x, 2: half, 3: x}, "q2"),
+    ]:
+        info = orbit_info(SepMaxIdeal(QQ, max(gens), gens))
+        alg = build_skeleton(info)
+        names = _relabelling(info.break_set)[2]
+        by_step = {(p["start"], p["steps"]): names[key] for key, p in alg.gmap.items()}
+
+        def word(path):
+            out, gamma = (), path["start"]
+            for kind, i in path["steps"]:
+                out = (by_step[gamma, ((kind, i),)],) + out
+                gamma = gamma.step(i, 1 if kind == "X" else -1)
+            return out
+
+        words = [sum((word(path) for path in rel[1:]), ()) for rel in alg.relations]
+        assert _relation_set(words) == _relation_set(QUIVER_RELATIONS[quiver])
+
+
 def _all_arrow_tuples(quiver, field, dims):
     _, layout = quiver_layout(quiver)
     names = sorted(layout)
@@ -416,7 +498,8 @@ def _oracle_vectors():
     exhaustive references."""
     vectors = [
         (quiver, field, dict(zip(vertices, d)))
-        for quiver, vertices in (("q1", Q1_VERTICES), ("q2", Q2_VERTICES))
+        for quiver in ("q1", "q2")
+        for vertices in [quiver_layout(quiver)[0]]
         for field in (F2, F3)
         for d in itertools.product(range(4), repeat=len(vertices))
         if sum(d) <= 3
@@ -479,7 +562,7 @@ def _reference_iter_satisfying(quiver, field, dims):
         chosen[name] = next(stack[-1], None)
         if chosen[name] is None:
             stack.pop()
-        elif all(_relation_holds(chosen, rel) for rel in due[name]):
+        elif all(relation_holds(chosen, rel) for rel in due[name]):
             if len(stack) == len(names):
                 yield dict(chosen)
             else:
@@ -590,6 +673,22 @@ def test_order2_simple_matches_region():
     assert support == {g for g in window if g.get(1) <= 0 and g.get(2) <= 0}
     assert module.x(1, ZERO).is_zero() and module.x(2, ZERO).is_zero()
     assert structural_simplicity_certificate(module)
+
+
+def test_indecomposability_refuses_a_window_that_misses_a_region():
+    # S0 + S1 with zero arrows is decomposable; a window over index 1 alone
+    # misses the region of S1 and sees an indecomposable part
+    info = order2_info()
+    pair = QuiverRep("q2", QQ, {0: 1, 1: 1}, {})
+    assert not is_indecomposable_finite(build_order2_module(info, pair))
+    partial = build_order2_module(info, pair, make_window(info, 2, indices=[1]))
+    with pytest.raises(InfiniteDimension):
+        is_indecomposable_finite(partial)
+    for index in (1, 2):
+        window = make_window(info, 1, indices=[index])
+        for rep in q2_indecomposables(QQ, 3)[::5]:
+            with pytest.raises(InfiniteDimension):
+                is_indecomposable_finite(build_order2_module(info, rep, window))
 
 
 def test_oracle_q1_over_f3():

@@ -15,6 +15,7 @@ from weylmod.skeleton import (
     compose_A,
     compose_B,
     hom_space_A,
+    skeleton_quiver,
 )
 
 F2 = GF(2)
@@ -73,6 +74,70 @@ def test_algebra_dimension_and_associativity(break_set):
                 lhs = compose_A(compose_A(u, v), w)
                 rhs = compose_A(u, compose_A(v, w))
                 assert lhs == rhs
+
+
+def _rank_mod3(rows):
+    """Rank over GF(3) of sparse rows {column: coefficient}."""
+    pivots = {}
+    for row in rows:
+        row = {k: c % 3 for k, c in row.items() if c % 3}
+        while row and min(row) in pivots:
+            pivot = pivots[min(row)]
+            f = row[min(row)] * pivot[min(row)]  # x * x = 1 for each nonzero x mod 3
+            for k, c in pivot.items():
+                row[k] = (row.get(k, 0) - f * c) % 3
+                if row[k] == 0:
+                    del row[k]
+        if row:
+            pivots[min(row)] = row
+    return len(pivots)
+
+
+def _quotient_dims_mod3(break_set):
+    """Dimension by path length of the path algebra of ``skeleton_quiver``
+    modulo its relations over GF(3), for lengths 0 to s + 1: the paths of
+    each length modulo the span of all p.r.q of that length."""
+    vertices, arrows, quiver_relations = skeleton_quiver(break_set)
+    vertex = {v: n for n, v in enumerate(vertices)}
+    ends = [(vertex[s], vertex[t]) for s, t in arrows.values()]
+    number = {k: n for n, k in enumerate(arrows)}
+
+    def target(path):  # a path is (start, arrow numbers), first arrow first
+        return ends[path[1][-1]][1] if path[1] else path[0]
+
+    paths = [[(v, ()) for v in range(len(vertex))]]
+    for _ in range(len(break_set) + 1):
+        paths.append([])
+        for p in paths[-2]:
+            paths[-1] += [(p[0], p[1] + (n,)) for n, e in enumerate(ends) if e[0] == target(p)]
+    # each relation as {path: coefficient}; x.y is the path y then x
+    relations = []
+    for rel in quiver_relations:
+        sides = [rel[k : k + 2] for k in range(0, len(rel), 2)]
+        terms = zip((1, -1), sides)
+        relations.append({(ends[number[y]][0], (number[y], number[x])): c for c, (x, y) in terms})
+    dims = []
+    for length, level in enumerate(paths):
+        rows = [
+            {(q[0], q[1] + r[1] + p[1]): c for r, c in rel.items()}
+            for rel in relations
+            for before in range(length - 1)
+            for q in paths[before]
+            if target(q) == next(iter(rel))[0]
+            for p in paths[length - 2 - before]
+            if p[0] == target(next(iter(rel)))
+        ]
+        dims.append(len(level) - _rank_mod3(rows))
+    return dims
+
+
+@pytest.mark.parametrize("s", [1, 2, 3])
+def test_skeleton_quiver_path_algebra_dimension(s):
+    # computed, not assumed: nothing survives at length s + 1, so nothing
+    # longer does, and the quotient has the algebra's dimension 4**s
+    dims = _quotient_dims_mod3(tuple(range(1, s + 1)))
+    assert dims[-1] == 0
+    assert sum(dims) == algebra_dim_A(s) == 4 ** s
 
 
 def test_hom_space_description():

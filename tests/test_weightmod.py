@@ -7,6 +7,7 @@ from weylmod.errors import (
     EnumerationBudgetExceeded,
     InfiniteDimension,
     NotMaximal,
+    RelationViolation,
     WindowTooSmall,
 )
 from weylmod.fields import GF, QQ, Poly
@@ -18,6 +19,7 @@ from weylmod.weightmod import (
     OUT,
     KLinearization,
     RelationReport,
+    SkeletonModuleA,
     WeightModule,
     direct_sum,
     from_skeleton_module,
@@ -254,6 +256,70 @@ def test_window_too_small_for_readback():
     mod = build_S_O_p(binfo, ZERO, window)
     with pytest.raises(WindowTooSmall):
         to_skeleton_module(mod)
+
+
+def _matrix(field, rows):
+    return Matrix(field, len(rows), len(rows[0]) if rows else 0, rows)
+
+
+def test_skeleton_data_with_a_wrong_shape_or_nonzero_ab_is_refused():
+    info = break_info()
+    field = info.residue.desc
+    up = ShiftVector.e(1)
+    cases = [
+        ((1, 1), [[1, 0]], [[0]]),  # a is 1x2, not 1x1
+        ((1, 1), [[0]], [[0], [0]]),  # b is 2x1, not 1x1
+        ((1, 2), [[1], [0]], [[0, 1]]),  # a.b != 0, b.a = 0
+        ((2, 1), [[0, 1]], [[1], [0]]),  # b.a != 0, a.b = 0
+    ]
+    for (low, high), a, b in cases:
+        with pytest.raises(RelationViolation):
+            data = SkeletonModuleA(
+                field,
+                info.break_set,
+                {ZERO: low, up: high},
+                {(ZERO, 1): _matrix(field, a)},
+                {(ZERO, 1): _matrix(field, b)},
+            )
+            from_skeleton_module(data, info)
+
+
+def _corner_paths_data(info, start):
+    """Order-2 data, dimension 1 everywhere: the identity along both two-step
+    paths from ``start`` to the opposite corner and zero elsewhere, so every
+    relation holds.  Also returns the second arrow of the path that crosses
+    the first break index first."""
+    field = info.residue.desc
+    one, zero = Matrix.identity(field, 1), Matrix.zeros(field, 1, 1)
+    a = {(d, i): zero for d in info.skeleton for i in info.break_set if d.get(i) == 0}
+    b = dict(a)
+    for order in itertools.permutations(info.break_set):
+        corner = start
+        for i in order:
+            if corner.get(i) == 0:
+                arrow, key = a, (corner, i)
+                corner = corner.step(i, 1)
+            else:
+                corner = corner.step(i, -1)
+                arrow, key = b, (corner, i)
+            arrow[key] = one
+        if order == info.break_set:
+            last = (arrow, key)
+    return {d: 1 for d in info.skeleton}, a, b, last
+
+
+def test_skeleton_data_breaking_one_commuting_square_is_refused():
+    info = orbit_info(SepMaxIdeal(QQ, 2, {1: Poly.x(QQ), 2: Poly.x(QQ)}))
+    field = info.residue.desc
+    for start in info.skeleton:
+        values, a, b, (arrow, key) = _corner_paths_data(info, start)
+        data = SkeletonModuleA(field, info.break_set, values, a, b)
+        assert verify_relations(from_skeleton_module(data, info)).ok
+        # one entry changed: only the square from this corner breaks
+        arrow[key] = Matrix.zeros(field, 1, 1)
+        with pytest.raises(RelationViolation):
+            data = SkeletonModuleA(field, info.break_set, values, a, b)
+            from_skeleton_module(data, info)
 
 
 def test_direct_sum_is_blockwise():
