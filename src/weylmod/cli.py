@@ -102,15 +102,16 @@ def cmd_simples_list(args):
 
 
 def cmd_simples_build(args):
+    radius = _int(args.window, "--window", 0)
     info = orbit_info(_load_ideal(args.ideal))
     descs = sm.classify_simples(info)
     if not 0 <= args.which < len(descs):
         raise SchemaError(f"--which must be in 0..{len(descs) - 1}")
     desc = descs[args.which]
     if desc.kind == "whole_orbit":
-        module = sm.build_S_O(info, make_window(info, radius=args.window))
+        module = sm.build_S_O(info, make_window(info, radius=radius))
     elif desc.kind == "region":
-        module = sm.build_S_O_p(info, desc.region, make_window(info, radius=args.window))
+        module = sm.build_S_O_p(info, desc.region, make_window(info, radius=radius))
     else:
         n_gen = None
         if args.N is not None:
@@ -149,9 +150,10 @@ def cmd_indecomp_list(args):
 
 
 def cmd_indecomp_build(args):
+    radius = _int(args.window, "--window", 0)
     info = orbit_info(_load_ideal(args.ideal))
     rep = jsonio.rep_from_json(_load(args.rep))
-    module = ind.rep_to_weight_module(rep, info, make_window(info, radius=args.window))
+    module = ind.rep_to_weight_module(rep, info, make_window(info, radius=radius))
     _emit(jsonio.module_to_json(module))
 
 
@@ -261,20 +263,23 @@ def cmd_skeleton_show(args):
 
 
 def cmd_heisenberg_graded_dim(args):
-    count = hb.graded_count(args.degree, args.len, args.bound)
+    max_len, bound = _int(args.len, "--len", 0), _int(args.bound, "--bound", 0)
+    count = hb.graded_count(args.degree, max_len, bound)
     _emit(
         {
             "schema": jsonio.SCHEMA,
             "degree": args.degree,
-            "len": args.len,
-            "bound": args.bound,
+            "len": max_len,
+            "bound": bound,
             "count": count,
         }
     )
 
 
 def cmd_heisenberg_check(args):
-    report = hb.heisenberg_action_check(radius=args.radius, max_index=args.indices)
+    report = hb.heisenberg_action_check(
+        radius=_int(args.radius, "--radius", 0), max_index=_int(args.indices, "--indices", 1)
+    )
     report["schema"] = jsonio.SCHEMA
     for key in ("bracket_failures", "grading_failures"):
         report[key] = [

@@ -80,8 +80,11 @@ def heisenberg_action_check(
     checks, wherever both composites stay in the window, that the commutator
     of a lowering at i and a raising at j is the Kronecker delta (central
     charge 1), that like generators commute, and that each generator moves
-    homogeneous degrees by its own index.
+    homogeneous degrees by its own index.  A negative radius or a
+    ``max_index`` below 1 would check nothing and is refused (ValueError).
     """
+    if max_index < 1:
+        raise ValueError(f"the check needs max_index >= 1, got {max_index}")
     if info is None:
         info = default_heisenberg_orbit()
     if info.degenerate:

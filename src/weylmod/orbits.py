@@ -22,7 +22,7 @@ from .errors import (
     NotMaximalIdeal,
     UncertifiedIrreducibility,
 )
-from .fields import FieldDesc, FieldElem, Poly, extend, is_irreducible
+from .fields import FieldDesc, FieldElem, Poly, extend
 
 UNBOUNDED = "inf"
 
@@ -114,9 +114,11 @@ class SepMaxIdeal:
     generator's irreducibility over the tower built from the earlier ones;
     checks that cannot be decided exactly must be asserted by the caller and
     leave the ideal (and everything built from it) marked uncertified.
+    ``levels`` keeps that tower: index -> the field after adjoining the
+    generator there, for each generator of degree >= 2, in index order.
     """
 
-    __slots__ = ("field", "arity", "generators", "default_generator", "certified")
+    __slots__ = ("field", "arity", "generators", "default_generator", "certified", "levels")
 
     def __init__(
         self,
@@ -165,34 +167,31 @@ class SepMaxIdeal:
         elif default_generator is not None:
             raise InvalidIdeal("default generator only applies to unbounded arity")
 
-        certified = True
-        tower = field
+        tower, levels = field, {}
         for i in sorted(gens):
             f = gens[i]
             if f.degree == 1:
                 continue
             lifted = Poly(tower, tuple(tower.embed(c) for c in f.coeffs))
-            verdict = is_irreducible(lifted)
-            if verdict is False:
+            try:  # extend tests irreducibility, once per generator
+                tower = extend(tower, lifted, assume_irreducible=assume_irreducible)
+            except NotMaximalIdeal:
                 raise NotMaximalIdeal(
                     f"generator at index {i} is reducible over the residue tower"
-                )
-            if verdict == "unknown":
-                if not assume_irreducible:
-                    raise UncertifiedIrreducibility(
-                        f"cannot certify the generator at index {i}; pass "
-                        "assume_irreducible=True to assert it"
-                    )
-                certified = False
-                tower = extend(tower, lifted, assume_irreducible=True)
-            else:
-                tower = extend(tower, lifted)
+                ) from None
+            except UncertifiedIrreducibility:
+                raise UncertifiedIrreducibility(
+                    f"cannot certify the generator at index {i}; pass "
+                    "assume_irreducible=True to assert it"
+                ) from None
+            levels[i] = tower
 
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "arity", arity)
         object.__setattr__(self, "generators", dict(gens))
         object.__setattr__(self, "default_generator", default)
-        object.__setattr__(self, "certified", certified)
+        object.__setattr__(self, "certified", all(l.certified for l in levels.values()))
+        object.__setattr__(self, "levels", levels)
 
     def __setattr__(self, *args):
         raise AttributeError("SepMaxIdeal is immutable")
@@ -278,18 +277,9 @@ class ResidueField:
     """
 
     def __init__(self, ideal: SepMaxIdeal):
-        field = ideal.field
-        tower = field
-        level_of: Dict[int, FieldDesc] = {}
-        for i in sorted(ideal.generators):
-            f = ideal.generators[i]
-            if f.degree < 2:
-                continue
-            lifted = Poly(tower, tuple(tower.embed(c) for c in f.coeffs))
-            tower = extend(tower, lifted, assume_irreducible=not ideal.certified)
-            level_of[i] = tower
-        self.base_field = field
-        self.desc = tower
+        level_of = ideal.levels  # the tower the ideal built when it was checked
+        self.base_field = ideal.field
+        self.desc = level_of[max(level_of)] if level_of else ideal.field
         self._level_of = level_of
         self._tbar: Dict[int, FieldElem] = {}
         for i in sorted(ideal.generators):
@@ -361,6 +351,7 @@ class OrbitInfo:
         self.base = base
         self.kind = kind
         self.break_set = break_set
+        self.nonbreak_set = tuple(i for i in base.explicit_indices() if i not in break_set)
         self.degenerate = bool(break_set)
         self.periods = periods
         self.tau = tau
@@ -392,6 +383,13 @@ class OrbitInfo:
     def tau_exponent(self, i: int) -> int:
         """1 when raising in direction i twists residue coefficients."""
         return 1 if self.tau.get(i) == "sigma" else 0
+
+    def sigma_twist(self, elem: FieldElem, twist: Dict[int, int]) -> FieldElem:
+        """elem under sigma_i^e for each (i, e) of ``twist`` whose direction twists."""
+        for i, e in twist.items():
+            if e and self.tau_exponent(i):
+                elem = self.residue.sigma_pow(elem, i, e)
+        return elem
 
     def canon_gamma(self, gamma: ShiftVector) -> ShiftVector:
         if self.char == 0:
@@ -628,7 +626,10 @@ class Window:
 def make_window(
     info: OrbitInfo, radius: int = 3, indices: Optional[Iterable[int]] = None
 ) -> Window:
-    """The default window: radius box (char 0) or the full orbit (char p)."""
+    """The default window: radius box (char 0) or the full orbit (char p).
+    A negative radius, which leaves no weight, raises ValueError."""
+    if radius < 0:
+        raise ValueError(f"window radius must be >= 0, got {radius}")
     if info.char > 0:
         return Window("orbit", info.indices(), 0, info.orbit_weights())
     if indices is None:

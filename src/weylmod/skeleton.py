@@ -7,10 +7,14 @@ so the commuting squares hold definitionally).  Positive characteristic gives
 a one-object algebra with generators a_i, b_i over the break set, invertible
 c_j elsewhere, and coefficients twisted by the residue-field automorphisms.
 
-The characteristic-zero algebra is stated once, as the quiver with relations
-:func:`skeleton_quiver`; ``build_skeleton``, ``weightmod.SkeletonModuleA``
-and the quivers q1 and q2 of ``indecomp`` read it, and all test relations
-with :func:`relation_holds`.
+Each algebra is stated once, as a quiver with relations: the
+characteristic-zero one as :func:`skeleton_quiver`, read by
+``build_skeleton``, ``weightmod.SkeletonModuleA`` and the quivers q1 and q2
+of ``indecomp``; the characteristic-p one as the one-vertex
+:func:`skeleton_loops`, read by ``build_skeleton`` and
+``weightmod.SkeletonModuleB``.  All test relations with
+:func:`relation_holds`, which takes the coefficient twist of the
+characteristic-p products.
 
 Skeleton objects are represented by ShiftVector values with 0/1 entries, the
 same coordinates used for orbit regions.
@@ -19,6 +23,7 @@ same coordinates used for orbit regions.
 from __future__ import annotations
 
 import functools
+import itertools
 from typing import Dict, Tuple
 
 from .errors import FieldMismatch, ObjectMismatch
@@ -298,11 +303,35 @@ def skeleton_quiver(break_set: Tuple[int, ...]):
     return vertices, arrows, tuple(relations)
 
 
-def relation_holds(arrows, rel) -> bool:
-    """Whether the matrices ``arrows`` satisfy one relation, written as in
-    :func:`skeleton_quiver` with x.y the matrix product."""
-    prod = arrows[rel[0]] * arrows[rel[1]]
-    return prod.is_zero() if len(rel) == 2 else prod == arrows[rel[2]] * arrows[rel[3]]
+@functools.lru_cache(maxsize=None)
+def skeleton_loops(break_set: Tuple[int, ...], others: Tuple[int, ...]):
+    """The characteristic-p skeleton algebra, as a one-vertex quiver:
+    (vertices, arrows, relations), read as in :func:`skeleton_quiver`.
+
+    The one vertex is ZERO_SHIFT.  The arrows are loops there: ("a", i) and
+    ("b", i) at each break index i, and ("c", j) at each of the ``others``.
+    The relations are (x,) for an invertible x, each c; (x, y) for x.y = 0,
+    a.b = b.a = 0 at each break index; and (x, y, y, x) for x.y = y.x, for
+    each pair x before y of loops at different indices.  A loop in a
+    direction that twists coefficients acts semilinearly, so x.y applies x's
+    twist to y (the ``twist`` of :func:`relation_holds`).
+    """
+    loops = [(l, i) for i in break_set for l in "ab"] + [("c", j) for j in others]
+    relations = [rel for i in break_set for rel in ((("a", i), ("b", i)), (("b", i), ("a", i)))]
+    relations += [(("c", j),) for j in others]
+    relations += [(x, y, y, x) for x, y in itertools.combinations(loops, 2) if x[1] != y[1]]
+    return (ZERO_SHIFT,), {x: (ZERO_SHIFT, ZERO_SHIFT) for x in loops}, tuple(relations)
+
+
+def relation_holds(arrows, rel, twist=None) -> bool:
+    """Whether the matrices ``arrows`` satisfy one zero or commuting relation,
+    written as in :func:`skeleton_quiver` with x.y the matrix product, y's
+    coefficients first moved across x by ``twist(x, mat)`` when it is given."""
+
+    def prod(x, y):
+        return arrows[x] * (arrows[y] if twist is None else twist(x, arrows[y]))
+
+    return prod(*rel).is_zero() if len(rel) == 2 else prod(*rel[:2]) == prod(*rel[2:])
 
 
 class SkeletonAlgebra:
@@ -327,9 +356,7 @@ class SkeletonAlgebra:
         self.info = info
         self.field = info.residue.desc
         self.break_set = info.break_set
-        self.nonbreak_set = tuple(
-            i for i in info.indices() if i not in info.break_set
-        )
+        self.nonbreak_set = info.nonbreak_set
         self.tau = dict(info.tau)
         self.objects = objects
         self.gmap = gmap
@@ -353,45 +380,28 @@ def build_skeleton(info: OrbitInfo) -> SkeletonAlgebra:
 
     Characteristic zero: the finite category on the region representatives,
     generated by one raising and one lowering step at each break index
-    (:func:`skeleton_quiver`).  Characteristic p: the one-object algebra whose
-    generators are realized by full cycles of raising (or lowering) steps in
-    each direction.
+    (:func:`skeleton_quiver`).  Characteristic p: the one-object algebra
+    (:func:`skeleton_loops`) whose generators are realized by full cycles of
+    raising (a, c) or lowering (b) steps in their direction.
     """
     if info.char == 0:
-        objects, arrows, words = skeleton_quiver(info.break_set)
+        kind, (objects, arrows, words) = "A", skeleton_quiver(info.break_set)
+    else:
+        kind, (objects, arrows, words) = "B", skeleton_loops(info.break_set, info.nonbreak_set)
 
-        def path(word):  # x.y is y first: the steps run right to left
-            steps = [("X" if letter == "a" else "Y", i) for letter, _, i in reversed(word)]
-            return _path(arrows[word[-1]][0], steps)
-
-        gmap = {key: path((key,)) for key in arrows}
-        relations = [
-            ("zero", path(rel)) if len(rel) == 2 else ("equal", path(rel[:2]), path(rel[2:]))
-            for rel in words
+    def path(word):  # x.y is y first: the steps run right to left
+        # a char-0 arrow is one step, a char-p loop a full cycle (period steps)
+        steps = [
+            ("Y" if x[0] == "b" else "X", x[-1])
+            for x in reversed(word)
+            for _ in range(info.period(x[-1]) or 1)
         ]
-        return SkeletonAlgebra("A", info, objects, gmap, relations)
+        return _path(arrows[word[-1]][0], steps)
 
-    gmap = {}
-    relations = []
-    origin = ZERO_SHIFT
-    for i in info.break_set:
-        r = info.period(i)
-        gmap[("a", i)] = _path(origin, [("X", i)] * r)
-        gmap[("b", i)] = _path(origin, [("Y", i)] * r)
-        relations.append(("zero", _path(origin, [("Y", i)] * r + [("X", i)] * r)))
-        relations.append(("zero", _path(origin, [("X", i)] * r + [("Y", i)] * r)))
-    for j in info.indices():
-        if j in info.break_set:
-            continue
-        r = info.period(j)
-        gmap[("c", j)] = _path(origin, [("X", j)] * r)
-        relations.append(("invertible", _path(origin, [("X", j)] * r)))
-    pairs = [k for k in gmap]
-    for s in range(len(pairs)):
-        for t in range(s + 1, len(pairs)):
-            ks, kt = pairs[s], pairs[t]
-            ps, pt = gmap[ks], gmap[kt]
-            first = _path(origin, list(pt["steps"]) + list(ps["steps"]))
-            second = _path(origin, list(ps["steps"]) + list(pt["steps"]))
-            relations.append(("equal", first, second))
-    return SkeletonAlgebra("B", info, (origin,), gmap, relations)
+    gmap = {key: path((key,)) for key in arrows}
+    relations = [
+        ("equal", path(rel[:2]), path(rel[2:])) if len(rel) == 4
+        else ("zero" if len(rel) == 2 else "invertible", path(rel))
+        for rel in words
+    ]
+    return SkeletonAlgebra(kind, info, objects, gmap, relations)

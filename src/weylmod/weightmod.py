@@ -16,6 +16,10 @@ The two functors between weight modules and skeleton modules are exact
 mutually-inverse expansions: interior transitions of an expanded module are
 identities (raising) and edge scalars (lowering), and all of the classifying
 constructions elsewhere in the package are expansions of skeleton data.
+Skeleton data (:class:`SkeletonModuleA`, :class:`SkeletonModuleB`) is checked
+once, when it is built, against the quiver with relations that states its
+algebra (``skeleton.skeleton_quiver``, ``skeleton.skeleton_loops``); the
+coefficient twist of a semilinear product is ``OrbitInfo.sigma_twist``.
 
 The oracles (closures, simplicity, indecomposability) run on the
 ``linalg.OpGraph`` of a module's :class:`KLinearization`, the shape quiver
@@ -44,7 +48,7 @@ from .orbits import (
     canonical_skeleton_rep,
     make_window,
 )
-from .skeleton import relation_holds, skeleton_quiver
+from .skeleton import relation_holds, skeleton_loops, skeleton_quiver
 
 OUT = "out"  # tag for transitions whose target weight leaves the window
 
@@ -56,6 +60,13 @@ def _merge_twists(a: Dict[int, int], b: Dict[int, int]) -> Dict[int, int]:
         if out[i] == 0:
             del out[i]
     return out
+
+
+def _apply_twist(info: OrbitInfo, mat: Matrix, twist: Dict[int, int]) -> Matrix:
+    """``mat`` with the coefficient twist applied to every entry."""
+    if not any(twist.values()):
+        return mat
+    return mat.map_entries(lambda c: info.sigma_twist(c, twist))
 
 
 class WeightModule:
@@ -129,22 +140,11 @@ class WeightModule:
             m == OUT for m in self.dmat.values()
         )
 
-    def apply_twist(self, mat: Matrix, twist: Dict[int, int]) -> Matrix:
-        if not twist:
-            return mat
-        residue = self.info.residue
-        out = mat
-        for i, e in twist.items():
-            if self.info.tau_exponent(i) == 0 or e == 0:
-                continue
-            out = out.map_entries(lambda c, i=i, e=e: residue.sigma_pow(c, i, e))
-        return out
-
     def compose_op(self, second, first):
         """Compose two (matrix, twist) operators, second after first."""
         mat2, tw2 = second
         mat1, tw1 = first
-        return (mat2 * self.apply_twist(mat1, tw2), _merge_twists(tw2, tw1))
+        return (mat2 * _apply_twist(self.info, mat1, tw2), _merge_twists(tw2, tw1))
 
     def op_x(self, i: int, gamma: ShiftVector):
         mat = self.x(i, gamma)
@@ -327,6 +327,13 @@ def verify_relations(module: WeightModule) -> RelationReport:
 # ---- skeleton module data --------------------------------------------------
 
 
+def _failure(rel) -> str:
+    """The message for a skeleton relation that fails, each generator written
+    letter_index, followed in characteristic 0 by its key object in brackets."""
+    names = [f"{x[0]}_{x[-1]}" + "".join(f"[{o!r}]" for o in x[1:-1]) for x in rel]
+    return f"relation {names[0]}.{names[1]} = {'.'.join(names[2:]) or '0'} fails"
+
+
 class SkeletonModuleA:
     """A module over the characteristic-zero skeleton algebra, checked when built.
 
@@ -355,68 +362,52 @@ class SkeletonModuleA:
             self.arrows[letter, alpha, i] = mat
         for rel in relations:
             if not relation_holds(self.arrows, rel):
-                names = [f"{l}_{i}[{alpha!r}]" for l, alpha, i in rel]
-                rhs = ".".join(names[2:]) or "0"
-                raise RelationViolation(f"relation {names[0]}.{names[1]} = {rhs} fails")
+                raise RelationViolation(_failure(rel))
 
     def dim(self, alpha: ShiftVector) -> int:
         return self.values.get(alpha, 0)
 
 
 class SkeletonModuleB:
-    """A module over the one-object positive-characteristic skeleton algebra."""
+    """A module over the one-object characteristic-p skeleton algebra, checked when built.
+
+    dim: the dimension of the one object; a/b: dict break index -> matrix; c:
+    dict other index -> matrix.  There must be one dim x dim matrix per loop
+    of ``skeleton_loops``, each c invertible, and together they must satisfy
+    its relations, each product twisted as its loops act; otherwise
+    :class:`RelationViolation` is raised.  ``c_inverse`` holds the matrix of
+    each c's inverse operator: its inverse, twisted back where c twists.
+    """
 
     def __init__(self, info: OrbitInfo, dim: int, a, b, c):
         self.info = info
         self.field = info.residue.desc
-        self.dimension = int(dim)
-        self.a = dict(a)
-        self.b = dict(b)
-        self.c = dict(c)
-
-    def _twisted(self, mat: Matrix, i: int, e: int) -> Matrix:
-        if e and self.info.tau_exponent(i):
-            residue = self.info.residue
-            return mat.map_entries(lambda x: residue.sigma_pow(x, i, e))
-        return mat
-
-    def validate(self):
-        d = self.dimension
-        gens = []
-        for i, mat in self.a.items():
-            gens.append(("a", i, mat, self.info.tau_exponent(i)))
-        for i, mat in self.b.items():
-            gens.append(("b", i, mat, -self.info.tau_exponent(i)))
-        for j, mat in self.c.items():
-            gens.append(("c", j, mat, self.info.tau_exponent(j)))
-        for _, _, mat, _ in gens:
-            if mat.nrows != d or mat.ncols != d:
-                raise RelationViolation("skeleton generator matrix shape")
-        for i in self.a:
-            if not (self.a[i] * self.b[i]).is_zero() or not (
-                self.b[i] * self.a[i]
-            ).is_zero():
-                raise RelationViolation(f"ab relation fails at break index {i}")
-        for j, mat in self.c.items():
-            if mat.inverse() is None:
-                raise RelationViolation(f"loop generator at {j} is not invertible")
-        for (l1, i1, m1, e1), (l2, i2, m2, e2) in itertools.combinations(gens, 2):
-            if i1 == i2:
-                continue
-            lhs = m1 * self._twisted(m2, i1, e1)
-            rhs = m2 * self._twisted(m1, i2, e2)
-            if lhs != rhs:
-                raise RelationViolation(
-                    f"generators {l1}_{i1} and {l2}_{i2} do not commute"
-                )
-        return self
-
-    def c_inverse_op(self, j: int) -> Matrix:
-        """Matrix of the inverse operator of the loop generator at j."""
-        inv = self.c[j].inverse()
-        if inv is None:
-            raise RelationViolation(f"loop generator at {j} is not invertible")
-        return self._twisted(inv, j, -self.info.tau_exponent(j))
+        self.dimension = d = int(dim)
+        self.a, self.b, self.c = dict(a), dict(b), dict(c)
+        _, loops, relations = skeleton_loops(info.break_set, info.nonbreak_set)
+        given = len(self.a) + len(self.b) + len(self.c)
+        if given != len(loops):
+            raise RelationViolation(f"{given} matrices for {len(loops)} loops")
+        self.arrows, twists = {}, {}  # the matrices and twists by loop
+        for letter, i in loops:
+            mat = getattr(self, letter).get(i)  # self.a, self.b or self.c
+            if mat is None or (mat.nrows, mat.ncols) != (d, d):
+                raise RelationViolation(f"skeleton generator {letter}_{i} needs a {d}x{d} matrix")
+            self.arrows[letter, i] = mat
+            e = info.tau_exponent(i)
+            twists[letter, i] = {i: -e if letter == "b" else e}
+        self.c_inverse = {}
+        for rel in relations:
+            if len(rel) == 1:  # c is invertible: keep its inverse operator
+                j = rel[0][1]
+                inv = self.c[j].inverse()
+                if inv is None:
+                    raise RelationViolation(f"loop generator at {j} is not invertible")
+                self.c_inverse[j] = _apply_twist(info, inv, {j: -info.tau_exponent(j)})
+            elif not relation_holds(
+                self.arrows, rel, lambda x, mat: _apply_twist(info, mat, twists[x])
+            ):
+                raise RelationViolation(_failure(rel))
 
 
 # ---- the expansion functor (skeleton module -> weight module) --------------
@@ -470,21 +461,15 @@ def _expand_A(data: SkeletonModuleA, info: OrbitInfo, window) -> WeightModule:
 def _expand_B(data: SkeletonModuleB, info: OrbitInfo) -> WeightModule:
     if info.char == 0:
         raise RelationViolation("one-object skeleton data needs characteristic p")
-    data.validate()
     window = make_window(info)
     field = info.residue.desc
     d = data.dimension
     spaces = {gamma: d for gamma in window}
     ident = Matrix.identity(field, d)
-
-    lowering_break = {}
-    for i in info.break_set:
-        r = info.period(i)
-        prod = field.one()
-        for k in list(range(1, r - 1)) + [r - 1]:
-            prod = prod * field.from_int(k if k < r - 1 else -1)
-        # product of the interior and wrap lowering scalars: 1*2*...*(p-2)*(-1)
-        lowering_break[i] = data.b[i].scale(prod.inverse())
+    # A break index has period p, and the other lowering scalars of its cycle,
+    # 1, 2, ..., p-2 and -1, multiply to (p-2)!(-1) = -1 by Wilson's theorem;
+    # so the cycle of lowerings multiplies to b when its step at 1 is -b.
+    lowering_break = {i: -data.b[i] for i in info.break_set}
 
     xmat, dmat = {}, {}
     for gamma in window:
@@ -501,13 +486,12 @@ def _expand_B(data: SkeletonModuleB, info: OrbitInfo) -> WeightModule:
                     dmat[(i, gamma)] = Matrix.scalar(field, d, scalar)
             elif r == 1:
                 xmat[(i, gamma)] = data.c[i]
-                dmat[(i, gamma)] = data.c_inverse_op(i).scale(info.tbar(i))
+                dmat[(i, gamma)] = data.c_inverse[i].scale(info.tbar(i))
             else:
                 xmat[(i, gamma)] = data.c[i] if gi == r - 1 else ident
                 if gi == 0:
                     scalar = info.edge_scalar(down, i)
-                    inv = data.c[i].inverse()
-                    dmat[(i, gamma)] = inv.scale(scalar)
+                    dmat[(i, gamma)] = data.c_inverse[i].scale(scalar)
                 else:
                     scalar = info.edge_scalar(down, i)
                     dmat[(i, gamma)] = Matrix.scalar(field, d, scalar)
@@ -550,9 +534,7 @@ def to_skeleton_module(module: WeightModule):
         if j in info.break_set:
             continue
         cmat[j], _ = module.evaluate_path(ZERO_SHIFT, [("X", j)] * info.period(j))
-    return SkeletonModuleB(
-        info, module.dim(ZERO_SHIFT), amat, bmat, cmat
-    ).validate()
+    return SkeletonModuleB(info, module.dim(ZERO_SHIFT), amat, bmat, cmat)
 
 
 def check_skeleton_relations(algebra, module: WeightModule) -> dict:
@@ -631,10 +613,7 @@ class KLinearization:
     def _elem_block(self, elem: FieldElem, twist: Dict[int, int]) -> Matrix:
         cols = []
         for bvec in self.basis:
-            img = bvec
-            for i, e in twist.items():
-                if self.module.info.tau_exponent(i) and e:
-                    img = self.residue.sigma_pow(img, i, e)
+            img = self.module.info.sigma_twist(bvec, twist)
             cols.append(to_kvec(elem * img, self.kfield))
         return Matrix._of(self.kfield, self.ext, self.ext, tuple(zip(*cols)))
 

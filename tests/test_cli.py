@@ -493,3 +493,25 @@ def test_huge_constant_is_uncertified_not_a_hang(tmp_path, capsys):
     code, out = run(capsys, "orbit", "info", write(tmp_path, "asserted.json", ideal))
     assert code == 0
     assert json.loads(out)["certified"] is False
+
+
+@pytest.mark.parametrize(
+    "flag,argv",
+    [
+        ("--window", ("simples", "build", "{ideal}", "--which", "0", "--window", "-1")),
+        ("--window", ("indecomp", "build", "{ideal}", "--rep", "{rep}", "--window", "-1")),
+        ("--radius", ("heisenberg", "check", "--radius", "-1")),
+        ("--indices", ("heisenberg", "check", "--indices", "0")),
+        ("--len", ("heisenberg", "graded-dim", "--degree", "0", "--len", "-1", "--bound", "3")),
+        ("--bound", ("heisenberg", "graded-dim", "--degree", "0", "--len", "4", "--bound", "-1")),
+    ],
+)
+def test_a_vacuous_window_or_range_is_a_schema_error(tmp_path, capsys, flag, argv):
+    # each used to print an empty window, or a count or "ok" over nothing, and exit 0
+    ideal = write(tmp_path, "ideal.json", IDEAL_BREAK1)
+    code, out = run(capsys, "indecomp", "list", ideal)
+    rep = write(tmp_path, "rep.json", json.loads(out)["indecomposables"][0])
+    code, out = run(capsys, *(a.format(ideal=ideal, rep=rep) for a in argv))
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["name"] == "SchemaError" and flag in error["message"]

@@ -89,3 +89,9 @@ def test_action_check_rejects_degenerate():
     )
     with pytest.raises(DegenerateOrbit):
         heisenberg_action_check(info, radius=1, max_index=2)
+
+
+def test_action_check_refuses_an_empty_check():
+    for kwargs in ({"radius": -1}, {"max_index": 0}):
+        with pytest.raises(ValueError):
+            heisenberg_action_check(**kwargs)

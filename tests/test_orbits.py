@@ -148,6 +148,32 @@ def test_maximality_certificate():
     assert info2.residue.degree_over_base() == 6
 
 
+def test_each_residue_tower_is_built_once(monkeypatch):
+    import weylmod.fields as fields_module
+    import weylmod.orbits as orbits_module
+    from weylmod.orbits import ResidueField
+
+    tested = []
+    is_irreducible = fields_module.is_irreducible
+
+    def counting(f, **kwargs):
+        tested.append(f)
+        return is_irreducible(f, **kwargs)
+
+    monkeypatch.setattr(fields_module, "is_irreducible", counting)
+    monkeypatch.setattr(orbits_module, "is_irreducible", counting, raising=False)
+    # two generators of degree >= 2 and one of degree one
+    gens = {1: Poly(F2, [1, 1, 1]), 2: Poly(F2, [1, 1, 0, 1]), 3: Poly.x(F2)}
+    ideal = SepMaxIdeal(F2, 3, gens)
+    assert len(tested) == 2
+    residue = ResidueField(ideal)
+    assert len(tested) == 2
+    assert residue.desc is ideal.levels[2] and residue.desc.base is ideal.levels[1]
+    assert residue.degree_over_base() == 6
+    orbit_info(ideal)  # builds the normalized base ideal: one test per generator
+    assert len(tested) == 4
+
+
 def test_canonical_rep_rule():
     m = SepMaxIdeal(
         QQ, 3, {1: Poly.x(QQ), 2: Poly.x(QQ), 3: t_minus(QQ, Fraction(1, 2))}
@@ -333,3 +359,10 @@ def test_hand_built_windows_step_like_the_orbit():
     _assert_steps_match(info_p, window_p, (1, 2))
     with pytest.raises(ValueError):
         Window("orbit", (1, 2), 0, shuffled[1:])
+
+
+def test_a_negative_window_radius_is_refused():
+    info = orbit_info(SepMaxIdeal(QQ, 1, {1: t_minus(QQ, Fraction(1, 2))}))
+    assert len(make_window(info, radius=0)) == 1
+    with pytest.raises(ValueError):
+        make_window(info, radius=-1)

@@ -15,6 +15,7 @@ from weylmod.skeleton import (
     compose_A,
     compose_B,
     hom_space_A,
+    skeleton_loops,
     skeleton_quiver,
 )
 
@@ -206,6 +207,63 @@ def test_build_skeleton_shapes():
     assert not alg3.linear
     path = alg3.gmap[("c", 1)]
     assert path["steps"] == (("X", 1),)
+
+
+def test_skeleton_loops_statement():
+    vertices, arrows, relations = skeleton_loops((2,), (1, 3))
+    assert vertices == (ZERO,)
+    assert list(arrows) == [("a", 2), ("b", 2), ("c", 1), ("c", 3)]
+    assert set(arrows.values()) == {(ZERO, ZERO)}
+    a, b, c1, c3 = arrows
+    assert relations == (
+        (a, b), (b, a), (c1,), (c3,),
+        (a, c1, c1, a), (a, c3, c3, a), (b, c1, c1, b), (b, c3, c3, b), (c1, c3, c3, c1),
+    )
+    assert skeleton_loops((2,), (1, 3)) is skeleton_loops((2,), (1, 3))
+
+
+def _reference_charp_relations(info):
+    """The hand-written char-p relations build_skeleton listed before it read
+    them off skeleton_loops: zeros, invertibles, then every generator pair."""
+    def path(steps):
+        return {"start": ZERO, "steps": tuple(steps)}
+
+    gmap, relations = {}, []
+    for i in info.break_set:
+        r = info.period(i)
+        gmap[("a", i)], gmap[("b", i)] = path([("X", i)] * r), path([("Y", i)] * r)
+        relations.append(("zero", path([("Y", i)] * r + [("X", i)] * r)))
+        relations.append(("zero", path([("X", i)] * r + [("Y", i)] * r)))
+    for j in info.indices():
+        if j not in info.break_set:
+            gmap[("c", j)] = path([("X", j)] * info.period(j))
+            relations.append(("invertible", gmap[("c", j)]))
+    for (ks, ps), (kt, pt) in itertools.combinations(gmap.items(), 2):
+        relations.append(("equal", path(pt["steps"] + ps["steps"]), path(ps["steps"] + pt["steps"])))
+    return gmap, relations
+
+
+@pytest.mark.parametrize(
+    "field,gens",
+    [
+        (F2, {1: [1, 1, 1]}),
+        (F2, {1: [1, 1, 1], 2: [0, 1]}),
+        (GF(3), {1: [0, 1], 2: [1, 0, 1]}),
+        (GF(5), {1: [2, 1]}),
+        (GF(3), {1: [1, 1], 2: [2, 1]}),
+    ],
+)
+def test_charp_relations_are_read_off_the_loops(field, gens):
+    info = orbit_info(SepMaxIdeal(field, len(gens), {i: Poly(field, c) for i, c in gens.items()}))
+    alg = build_skeleton(info)
+    gmap, relations = _reference_charp_relations(info)
+    assert alg.kind == "B" and alg.objects == (ZERO,) and alg.gmap == gmap
+    # the same relations, less the same-index equalities that a.b = b.a = 0 imply
+    def same_index(rel):
+        return rel[0] == "equal" and len({i for _, i in rel[1]["steps"]}) == 1
+
+    assert alg.relations == [rel for rel in relations if not same_index(rel)]
+    assert len(relations) - len(alg.relations) == len(info.break_set)
 
 
 def test_functor_words_satisfy_relations_char0():

@@ -11,7 +11,7 @@ from weylmod.errors import (
     WindowTooSmall,
 )
 from weylmod.fields import GF, QQ, Poly
-from weylmod.linalg import Matrix
+from weylmod.linalg import Matrix, companion_matrix
 from weylmod.indecomp import build_order2_module, q2_indecomposables
 from weylmod.orbits import SepMaxIdeal, ShiftVector, make_window, orbit_info
 from weylmod.simples import build_S_O, build_S_O_p, build_S_char_p, classify_simples
@@ -20,6 +20,7 @@ from weylmod.weightmod import (
     KLinearization,
     RelationReport,
     SkeletonModuleA,
+    SkeletonModuleB,
     WeightModule,
     direct_sum,
     from_skeleton_module,
@@ -320,6 +321,113 @@ def test_skeleton_data_breaking_one_commuting_square_is_refused():
         with pytest.raises(RelationViolation):
             data = SkeletonModuleA(field, info.break_set, values, a, b)
             from_skeleton_module(data, info)
+
+
+def mixed_charp_info():
+    # GF(2), arity 2: a loop c_1 that twists (t^2+t+1 is shift-stable, so the
+    # residue field GF(4) is shifted by sigma_1) and a break at index 2
+    return orbit_info(SepMaxIdeal(F2, 2, {1: Poly(F2, [1, 1, 1]), 2: Poly.x(F2)}))
+
+
+def _loops_data(info, rows):
+    """SkeletonModuleB data on ``mixed_charp_info``: a_2, b_2 and c_1 from
+    their rows over GF(4), the entry u standing for the root tbar_1."""
+    field = info.residue.desc
+    u = info.residue.tbar(1)
+    elem = {0: field.zero(), 1: field.one(), "u": u}
+    mats = {k: _matrix(field, [[elem[x] for x in row] for row in v]) for k, v in rows.items()}
+    dim = mats["a"].ncols
+    return SkeletonModuleB(info, dim, {2: mats["a"]}, {2: mats["b"]}, {1: mats["c"]})
+
+
+CHARP_BAD_DATA = {
+    "wrong shape": {"a": [[0, 0], [0, 0]], "b": [[0]], "c": [[1]]},
+    "a.b != 0": {"a": [[1, 0], [0, 0]], "b": [[0, 1], [0, 0]], "c": [[1, 0], [0, 1]]},
+    "b.a != 0": {"a": [[0, 1], [0, 0]], "b": [[1, 0], [0, 0]], "c": [[1, 0], [0, 1]]},
+    "singular c": {"a": [[0]], "b": [[0]], "c": [[0]]},
+    # u.1 = u, but 1.sigma_1(u) = u + 1: a 1x1 pair fails only by the twist
+    "twisted pair": {"a": [["u"]], "b": [[0]], "c": [[1]]},
+}
+
+
+@pytest.mark.parametrize("case", sorted(CHARP_BAD_DATA))
+def test_charp_skeleton_data_breaking_a_relation_is_refused(case):
+    info = mixed_charp_info()
+    with pytest.raises(RelationViolation):
+        from_skeleton_module(_loops_data(info, CHARP_BAD_DATA[case]), info)
+
+
+def test_charp_skeleton_data_with_twisted_commuting_loops_is_accepted():
+    info = mixed_charp_info()
+    for a in ([[1]], [[0]]):
+        data = _loops_data(info, {"a": a, "b": [[0]], "c": [["u"]]})
+        assert verify_relations(from_skeleton_module(data, info)).ok
+
+
+def test_charp_skeleton_data_needs_one_matrix_per_loop():
+    info = mixed_charp_info()
+    field = info.residue.desc
+    one, zero = Matrix.identity(field, 1), Matrix.zeros(field, 1, 1)
+    for a, b, c in (
+        ({2: zero}, {2: zero}, {}),  # c_1 missing
+        ({}, {2: zero}, {1: one}),  # a_2 missing
+        ({2: zero}, {2: zero}, {1: one, 2: one}),  # c_2 at a break index
+        ({1: zero, 2: zero}, {2: zero}, {1: one}),  # a_1 at a loop index
+    ):
+        with pytest.raises(RelationViolation):
+            from_skeleton_module(SkeletonModuleB(info, 1, a, b, c), info)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_charp_break_families_round_trip(p):
+    # the families at a break: xi = 0 puts the parameter on a, xi = 1 on b; a
+    # wrong sign on the lowering step at the break would read back -b
+    field = GF(p)
+    info = orbit_info(SepMaxIdeal(field, 1, {1: Poly.x(field)}))
+    assert sorted(d.xi.get(1) for d in classify_simples(info)[1:]) == [0, 1]
+    quadratic = next(
+        Poly(field, [c, 0, 1]) for c in range(1, p) if all((x * x + c) % p for x in range(p))
+    )
+    for n_gen in [Poly(field, [-nu, 1]) for nu in range(1, p)] + [quadratic]:
+        loop = companion_matrix(n_gen)
+        zero = Matrix.zeros(field, loop.nrows, loop.nrows)
+        for xi in (0, 1):
+            a, b = (loop, zero) if xi == 0 else (zero, loop)
+            data = SkeletonModuleB(info, loop.nrows, {1: a}, {1: b}, {})
+            module = from_skeleton_module(data, info)
+            back = to_skeleton_module(module)
+            assert back.a == data.a and back.b == data.b
+            assert from_skeleton_module(back, info) == module
+
+
+def test_charp_skeleton_data_is_checked_once(monkeypatch):
+    import weylmod.weightmod as wm
+
+    info = mixed_charp_info()
+    field = info.residue.desc
+    counts = {"relations": 0, "inverses": 0}
+    holds, inverse = wm.relation_holds, Matrix.inverse
+
+    def counting_holds(*args):
+        counts["relations"] += 1
+        return holds(*args)
+
+    def counting_inverse(mat):
+        counts["inverses"] += 1
+        return inverse(mat)
+
+    monkeypatch.setattr(wm, "relation_holds", counting_holds)
+    monkeypatch.setattr(Matrix, "inverse", counting_inverse)
+    one, zero = Matrix.identity(field, 1), Matrix.zeros(field, 1, 1)
+    # a.b = b.a = 0 at 2 and the pairs (a_2, c_1), (b_2, c_1): four relations
+    data = SkeletonModuleB(info, 1, {2: zero}, {2: one}, {1: one})
+    assert counts == {"relations": 4, "inverses": 1}
+    module = from_skeleton_module(data, info)
+    assert counts == {"relations": 4, "inverses": 1}
+    back = to_skeleton_module(module)
+    assert counts == {"relations": 8, "inverses": 2}
+    assert from_skeleton_module(back, info) == module
+    assert counts == {"relations": 8, "inverses": 2}
 
 
 def test_direct_sum_is_blockwise():
