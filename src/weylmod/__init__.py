@@ -59,7 +59,6 @@ from .weightmod import (
     SkeletonModuleA,
     SkeletonModuleB,
     WeightModule,
-    check_skeleton_relations,
     direct_sum,
     from_skeleton_module,
     is_indecomposable_finite,

@@ -34,8 +34,7 @@ def weight_degree(gamma: ShiftVector) -> int:
     return -sum(i * v for i, v in gamma.entries)
 
 
-def graded_count(degree: int, max_len: int, bound: int,
-                 info: Optional[OrbitInfo] = None) -> int:
+def graded_count(degree: int, max_len: int, bound: int) -> int:
     """Truncated dimension of one homogeneous component.
 
     Counts the weights with support in indices 1..max_len, entries bounded by
@@ -44,8 +43,6 @@ def graded_count(degree: int, max_len: int, bound: int,
     contributes exactly when degree is 0).  Dynamic programming over the
     indices; exact integer answer.
     """
-    if info is not None and info.degenerate:
-        raise DegenerateOrbit("the graded demo needs a nondegenerate orbit")
     target = degree
     counts: Dict[int, int] = {0: 1}
     for k in range(1, max_len + 1):

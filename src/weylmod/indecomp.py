@@ -246,12 +246,15 @@ def _poly_nth_root(f: Poly, n: int) -> Optional[Poly]:
     return g if g ** n == f else None
 
 
-def ind0_polys(field: FieldDesc, max_deg: int, *, rational_height: int = 2) -> List[Poly]:
+RATIONAL_HEIGHT = 2  # the largest |coefficient| of a rational ind0 polynomial
+
+
+def ind0_polys(field: FieldDesc, max_deg: int) -> List[Poly]:
     """Powers of monic irreducibles other than the variable, up to max_deg.
 
     Over a finite field the list is complete.  Over the rationals the full
     family is infinite; this emits the members with integer coefficients of
-    absolute value at most ``rational_height`` (component degree at most 3, so
+    absolute value at most ``RATIONAL_HEIGHT`` (component degree at most 3, so
     membership stays exactly decidable).
     """
     out = []
@@ -269,7 +272,7 @@ def ind0_polys(field: FieldDesc, max_deg: int, *, rational_height: int = 2) -> L
                 out.append(power)
                 power = power * g
         return sorted(out, key=lambda p: p.sort_key())
-    span = range(-rational_height, rational_height + 1)
+    span = range(-RATIONAL_HEIGHT, RATIONAL_HEIGHT + 1)
     for d in range(1, max_deg + 1):
         for tail in itertools.product(span, repeat=d):
             f = Poly(field, list(tail) + [1])

@@ -493,13 +493,10 @@ def orbit_info(m: SepMaxIdeal) -> OrbitInfo:
             else:
                 normalized[i] = f
 
-    base = SepMaxIdeal(
-        m.field,
-        m.arity,
-        normalized,
-        m.default_generator,
-        assume_irreducible=not m.certified,
-    )
+    # only degree-one generators were replaced, so m's residue tower still holds
+    base = object.__new__(SepMaxIdeal)
+    for name in SepMaxIdeal.__slots__:
+        object.__setattr__(base, name, normalized if name == "generators" else getattr(m, name))
     residue = ResidueField(base)
     break_set = tuple(sorted(breaks))
     kind = "linear" if char == 0 else "cyclic"

@@ -12,9 +12,13 @@ characteristic-zero one as :func:`skeleton_quiver`, read by
 ``build_skeleton``, ``weightmod.SkeletonModuleA`` and the quivers q1 and q2
 of ``indecomp``; the characteristic-p one as the one-vertex
 :func:`skeleton_loops`, read by ``build_skeleton`` and
-``weightmod.SkeletonModuleB``.  All test relations with
-:func:`relation_holds`, which takes the coefficient twist of the
-characteristic-p products.
+``weightmod.SkeletonModuleB``.  Those two module classes check their
+relations with :func:`relation_holds`, once, when the data is built; the
+generator map of ``build_skeleton`` says which path of a weight module
+realizes each arrow, and ``weightmod.to_skeleton_module`` reads the matrices
+along it.  The letters of a :class:`SkelMorphismA` are those of
+:func:`hom_space_A`, and the one coefficient twist, in :func:`compose_B` as
+in ``weightmod``, is ``OrbitInfo.sigma_twist``.
 
 Skeleton objects are represented by ShiftVector values with 0/1 entries, the
 same coordinates used for orbit regions.
@@ -24,11 +28,11 @@ from __future__ import annotations
 
 import functools
 import itertools
-from typing import Dict, Tuple
+from typing import Tuple
 
 from .errors import FieldMismatch, ObjectMismatch
 from .fields import FieldDesc, FieldElem
-from .orbits import ZERO_SHIFT, OrbitInfo, ResidueField, ShiftVector, zero_one_vectors
+from .orbits import ZERO_SHIFT, OrbitInfo, ShiftVector, zero_one_vectors
 
 SkelObjectA = ShiftVector  # 0/1-supported vector over the break index set
 
@@ -50,19 +54,9 @@ class SkelMorphismA:
 
     def __init__(self, source, target, coeff: FieldElem, letters=()):
         letters = tuple(sorted((int(i), l) for i, l in letters))
-        _validate_object(source)
-        _validate_object(target)
-        if not coeff.is_zero():
-            for i, l in letters:
-                s, t = source.get(i), target.get(i)
-                if l == "a" and (s, t) != (0, 1):
-                    raise ValueError(f"letter a at {i} needs bits 0 -> 1")
-                if l == "b" and (s, t) != (1, 0):
-                    raise ValueError(f"letter b at {i} needs bits 1 -> 0")
-            lettered = {i for i, _ in letters}
-            for i in set(source.support) | set(target.support):
-                if i not in lettered and source.get(i) != target.get(i):
-                    raise ValueError(f"bits differ at {i} without a letter")
+        joining = hom_space_A(source, target)["letters"]  # checks both objects
+        if not coeff.is_zero() and letters != joining:
+            raise ValueError(f"letters {letters} do not join {source!r} to {target!r}")
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "coeff", coeff)
@@ -160,28 +154,6 @@ def algebra_dim_A(break_count: int) -> int:
     return 4 ** break_count
 
 
-class TauAction:
-    """Residue-field coefficient twisting for the one-object skeleton."""
-
-    def __init__(self, residue: ResidueField, tau: Dict[int, str]):
-        self.residue = residue
-        self.tau = dict(tau)
-
-    def exponent(self, i: int) -> int:
-        return 1 if self.tau.get(i) == "sigma" else 0
-
-    def apply(self, elem: FieldElem, i: int, power: int) -> FieldElem:
-        if power == 0 or self.exponent(i) == 0:
-            return elem
-        return self.residue.sigma_pow(elem, i, power)
-
-    def apply_word(self, elem: FieldElem, word) -> FieldElem:
-        for i, letter, exp in word:
-            shift = exp if letter in ("a", "c") else -exp
-            elem = self.apply(elem, i, shift)
-        return elem
-
-
 class SkelMorphismB:
     """Normal-form monomial of the one-object positive-characteristic algebra.
 
@@ -239,12 +211,13 @@ class SkelMorphismB:
         return f"({self.coeff!r})*" + "*".join(toks)
 
 
-def compose_B(u: SkelMorphismB, v: SkelMorphismB, tau: TauAction) -> SkelMorphismB:
-    """Product u * v with the coefficient moved to the left across u's word."""
+def compose_B(u: SkelMorphismB, v: SkelMorphismB, info: OrbitInfo) -> SkelMorphismB:
+    """Product u * v with v's coefficient moved to the left across u's word,
+    through ``info.sigma_twist``: b lowers, a and c raise."""
     field = u.coeff.field
     if u.is_zero() or v.is_zero():
         return SkelMorphismB.zero(field)
-    coeff = u.coeff * tau.apply_word(v.coeff, u.word)
+    coeff = u.coeff * info.sigma_twist(v.coeff, {i: -e if l == "b" else e for i, l, e in u.word})
     merged = {i: (l, e) for i, l, e in u.word}
     for i, l, e in v.word:
         if i not in merged:
@@ -339,19 +312,11 @@ class SkeletonAlgebra:
 
     ``gmap`` records, for each algebra generator, the path of raising (X) and
     lowering (Y) steps realizing it on weight modules: a start weight plus a
-    step list.  ``relations`` lists executable identities between such paths
-    ("zero", "equal", or "invertible"), used by the translation-functor
-    checks.
+    step list.  ``weightmod.to_skeleton_module`` reads each generator's matrix
+    along its path.
     """
 
-    def __init__(
-        self,
-        kind: str,
-        info: OrbitInfo,
-        objects: Tuple[ShiftVector, ...],
-        gmap: dict,
-        relations: list,
-    ):
+    def __init__(self, kind: str, info: OrbitInfo, objects: Tuple[ShiftVector, ...], gmap: dict):
         self.kind = kind
         self.info = info
         self.field = info.residue.desc
@@ -360,7 +325,6 @@ class SkeletonAlgebra:
         self.tau = dict(info.tau)
         self.objects = objects
         self.gmap = gmap
-        self.relations = relations
         # coefficient arithmetic is linear exactly when no direction twists
         self.linear = all(v != "sigma" for v in self.tau.values())
 
@@ -369,10 +333,6 @@ class SkeletonAlgebra:
             f"SkeletonAlgebra(kind={self.kind}, breaks={list(self.break_set)}, "
             f"objects={len(self.objects)})"
         )
-
-
-def _path(start: ShiftVector, steps) -> dict:
-    return {"start": start, "steps": tuple(steps)}
 
 
 def build_skeleton(info: OrbitInfo) -> SkeletonAlgebra:
@@ -385,23 +345,12 @@ def build_skeleton(info: OrbitInfo) -> SkeletonAlgebra:
     raising (a, c) or lowering (b) steps in their direction.
     """
     if info.char == 0:
-        kind, (objects, arrows, words) = "A", skeleton_quiver(info.break_set)
+        kind, (objects, arrows, _) = "A", skeleton_quiver(info.break_set)
     else:
-        kind, (objects, arrows, words) = "B", skeleton_loops(info.break_set, info.nonbreak_set)
+        kind, (objects, arrows, _) = "B", skeleton_loops(info.break_set, info.nonbreak_set)
 
-    def path(word):  # x.y is y first: the steps run right to left
-        # a char-0 arrow is one step, a char-p loop a full cycle (period steps)
-        steps = [
-            ("Y" if x[0] == "b" else "X", x[-1])
-            for x in reversed(word)
-            for _ in range(info.period(x[-1]) or 1)
-        ]
-        return _path(arrows[word[-1]][0], steps)
+    def steps(x):  # a char-0 arrow is one step, a char-p loop a full cycle
+        return (("Y" if x[0] == "b" else "X", x[-1]),) * (info.period(x[-1]) or 1)
 
-    gmap = {key: path((key,)) for key in arrows}
-    relations = [
-        ("equal", path(rel[:2]), path(rel[2:])) if len(rel) == 4
-        else ("zero" if len(rel) == 2 else "invertible", path(rel))
-        for rel in words
-    ]
-    return SkeletonAlgebra(kind, info, objects, gmap, relations)
+    gmap = {x: {"start": source, "steps": steps(x)} for x, (source, _) in arrows.items()}
+    return SkeletonAlgebra(kind, info, objects, gmap)

@@ -16,10 +16,15 @@ The two functors between weight modules and skeleton modules are exact
 mutually-inverse expansions: interior transitions of an expanded module are
 identities (raising) and edge scalars (lowering), and all of the classifying
 constructions elsewhere in the package are expansions of skeleton data.
+:func:`to_skeleton_module` reads each generator's matrix along its path in
+the generator map of ``skeleton.build_skeleton``, in both characteristics.
 Skeleton data (:class:`SkeletonModuleA`, :class:`SkeletonModuleB`) is checked
 once, when it is built, against the quiver with relations that states its
-algebra (``skeleton.skeleton_quiver``, ``skeleton.skeleton_loops``); the
-coefficient twist of a semilinear product is ``OrbitInfo.sigma_twist``.
+algebra (``skeleton.skeleton_quiver``, ``skeleton.skeleton_loops``); that is
+the one check of the skeleton relations.  The coefficient twist of a
+semilinear product is ``OrbitInfo.sigma_twist``.  Every module class refuses
+a negative dimension, or one recorded off its window or objects, with
+``ValueError``.
 
 The oracles (closures, simplicity, indecomposability) run on the
 ``linalg.OpGraph`` of a module's :class:`KLinearization`, the shape quiver
@@ -48,7 +53,7 @@ from .orbits import (
     canonical_skeleton_rep,
     make_window,
 )
-from .skeleton import relation_holds, skeleton_loops, skeleton_quiver
+from .skeleton import build_skeleton, relation_holds, skeleton_loops, skeleton_quiver
 
 OUT = "out"  # tag for transitions whose target weight leaves the window
 
@@ -69,8 +74,22 @@ def _apply_twist(info: OrbitInfo, mat: Matrix, twist: Dict[int, int]) -> Matrix:
     return mat.map_entries(lambda c: info.sigma_twist(c, twist))
 
 
+def _check_dims(dims, places, where: str):
+    """Refuse a negative dimension, or one recorded outside ``places``."""
+    for at, d in dims.items():
+        if at not in places:
+            raise ValueError(f"dimension recorded at {at!r}, outside the {where}")
+        if d < 0:
+            raise ValueError(f"negative dimension {d} at {at!r}")
+
+
 class WeightModule:
-    """A weight module materialized on a finite window of weights."""
+    """A weight module materialized on a finite window of weights.
+
+    ``spaces`` gives a dimension >= 0 at each window weight and nowhere else
+    (``ValueError`` otherwise); a missing one or a missing or misshapen
+    matrix raises :class:`WindowTooSmall` or :class:`RelationViolation`.
+    """
 
     def __init__(self, info: OrbitInfo, window: Window, spaces, xmat, dmat):
         self.info = info
@@ -82,6 +101,7 @@ class WeightModule:
         self._validate()
 
     def _validate(self):
+        _check_dims(self.spaces, self.window, "window")
         for gamma in self.window:
             if gamma not in self.spaces:
                 raise WindowTooSmall(f"no space recorded at {gamma!r}")
@@ -341,7 +361,8 @@ class SkeletonModuleA:
     matrix, keyed by the object whose bit at the index is 0.  There must be
     one matrix per arrow of ``skeleton_quiver(break_set)``, of the arrow's
     shape, and together they must satisfy its relations; otherwise
-    :class:`RelationViolation` is raised.
+    :class:`RelationViolation` is raised.  A value that is negative or not at
+    a skeleton object raises ``ValueError``.
     """
 
     def __init__(self, field: FieldDesc, break_set, values, a, b):
@@ -350,7 +371,8 @@ class SkeletonModuleA:
         self.values = dict(values)
         self.a = dict(a)
         self.b = dict(b)
-        _, arrows, relations = skeleton_quiver(self.break_set)
+        objects, arrows, relations = skeleton_quiver(self.break_set)
+        _check_dims(self.values, objects, "skeleton objects")
         given = len(self.a) + len(self.b)
         if given != len(arrows):
             raise RelationViolation(f"{given} matrices for {len(arrows)} arrows")
@@ -376,7 +398,8 @@ class SkeletonModuleB:
     of ``skeleton_loops``, each c invertible, and together they must satisfy
     its relations, each product twisted as its loops act; otherwise
     :class:`RelationViolation` is raised.  ``c_inverse`` holds the matrix of
-    each c's inverse operator: its inverse, twisted back where c twists.
+    each c's inverse operator: its inverse, twisted back where c twists.  A
+    negative dim raises ``ValueError``.
     """
 
     def __init__(self, info: OrbitInfo, dim: int, a, b, c):
@@ -384,7 +407,8 @@ class SkeletonModuleB:
         self.field = info.residue.desc
         self.dimension = d = int(dim)
         self.a, self.b, self.c = dict(a), dict(b), dict(c)
-        _, loops, relations = skeleton_loops(info.break_set, info.nonbreak_set)
+        objects, loops, relations = skeleton_loops(info.break_set, info.nonbreak_set)
+        _check_dims({ZERO_SHIFT: d}, objects, "skeleton object")
         given = len(self.a) + len(self.b) + len(self.c)
         if given != len(loops):
             raise RelationViolation(f"{given} matrices for {len(loops)} loops")
@@ -504,65 +528,25 @@ def _expand_B(data: SkeletonModuleB, info: OrbitInfo) -> WeightModule:
 def to_skeleton_module(module: WeightModule):
     """Read skeleton-module data off a weight module.
 
-    Characteristic zero: values and crossing matrices at the region
-    representatives (the window must contain them and their raised
-    neighbours).  Characteristic p: generator matrices are full raising or
-    lowering cycles through the base point.
+    Each generator's matrix is the product along its path in the generator
+    map of ``build_skeleton``: a crossing of one break index from a region
+    representative in characteristic zero, a full raising or lowering cycle
+    through the base point in characteristic p.  The window must contain the
+    skeleton objects and the paths; the data is checked when it is built.
     """
     info = module.info
-    if info.char == 0:
-        values = {}
-        a, b = {}, {}
-        for delta in info.skeleton:
-            if delta not in module.window:
-                raise WindowTooSmall(f"window misses skeleton object {delta!r}")
-            values[delta] = module.dim(delta)
-        for delta in info.skeleton:
-            for i in info.break_set:
-                if delta.get(i) != 0:
-                    continue
-                a[(delta, i)], up = module.evaluate_path(delta, [("X", i)])
-                b[(delta, i)], _ = module.evaluate_path(up, [("Y", i)])
-        return SkeletonModuleA(module.field, info.break_set, values, a, b)
-
-    amat, bmat, cmat = {}, {}, {}
-    for i in info.break_set:
-        r = info.period(i)
-        amat[i], _ = module.evaluate_path(ZERO_SHIFT, [("X", i)] * r)
-        bmat[i], _ = module.evaluate_path(ZERO_SHIFT, [("Y", i)] * r)
-    for j in info.indices():
-        if j in info.break_set:
-            continue
-        cmat[j], _ = module.evaluate_path(ZERO_SHIFT, [("X", j)] * info.period(j))
-    return SkeletonModuleB(info, module.dim(ZERO_SHIFT), amat, bmat, cmat)
-
-
-def check_skeleton_relations(algebra, module: WeightModule) -> dict:
-    """Evaluate the skeleton algebra's defining relations on a weight module.
-
-    Each generator relation is realized as an identity between raising and
-    lowering paths; a valid module satisfies all of them exactly.  Returns a
-    report with the number of identities checked and the failures.
-    """
-    failures = []
-    checked = 0
-    for relation in algebra.relations:
-        kind = relation[0]
-        checked += 1
-        if kind == "zero":
-            mat, _ = module.evaluate_path(relation[1]["start"], relation[1]["steps"])
-            if not mat.is_zero():
-                failures.append(relation)
-        elif kind == "equal":
-            m1, e1 = module.evaluate_path(relation[1]["start"], relation[1]["steps"])
-            m2, e2 = module.evaluate_path(relation[2]["start"], relation[2]["steps"])
-            if e1 != e2 or m1 != m2:
-                failures.append(relation)
-        elif kind == "invertible":
-            mat, _ = module.evaluate_path(relation[1]["start"], relation[1]["steps"])
-            if mat.nrows != mat.ncols or mat.inverse() is None:
-                failures.append(relation)
-    return {"ok": not failures, "checked": checked, "failures": failures[:3]}
+    alg = build_skeleton(info)
+    for delta in alg.objects:
+        if delta not in module.window:
+            raise WindowTooSmall(f"window misses skeleton object {delta!r}")
+    mats = {"a": {}, "b": {}, "c": {}}  # by letter, then (object, index) or index
+    for x, path in alg.gmap.items():
+        mat, _ = module.evaluate_path(path["start"], path["steps"])
+        mats[x[0]][x[1:] if alg.kind == "A" else x[1]] = mat
+    if alg.kind == "A":
+        values = {delta: module.dim(delta) for delta in alg.objects}
+        return SkeletonModuleA(module.field, info.break_set, values, mats["a"], mats["b"])
+    return SkeletonModuleB(info, module.dim(ZERO_SHIFT), mats["a"], mats["b"], mats["c"])
 
 
 # ---- base-field linearization ----------------------------------------------

@@ -359,6 +359,32 @@ def test_indec_check_refuses_a_window_that_misses_a_region(tmp_path, capsys):
     assert json.loads(out)["error"]["name"] == "InfiniteDimension"
 
 
+def _radius0_module_json():
+    from weylmod import jsonio
+    from weylmod.orbits import make_window, orbit_info
+    from weylmod.simples import build_S_O
+
+    info = orbit_info(jsonio.ideal_from_json(IDEAL_NONDEG))
+    return jsonio.module_to_json(build_S_O(info, make_window(info, radius=0)))
+
+
+@pytest.mark.parametrize(
+    "spaces,command",
+    [
+        ({"": -3}, "simple-check"),
+        ({"": -3}, "verify"),
+        ({"": 1, "1:5": 7}, "indec-check"),  # a space outside the radius-0 window
+    ],
+)
+def test_negative_or_off_window_space_is_a_schema_error(tmp_path, capsys, spaces, command):
+    module = _radius0_module_json()
+    assert module["spaces"] == {"": 1}
+    module["spaces"] = spaces
+    code, out = run(capsys, "module", command, write(tmp_path, "module.json", module))
+    assert code == 2
+    assert json.loads(out)["error"]["name"] == "SchemaError"
+
+
 def test_heisenberg_commands(capsys):
     code, out = run(
         capsys, "heisenberg", "graded-dim", "--degree", "0", "--len", "2", "--bound", "2"

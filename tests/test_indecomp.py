@@ -36,7 +36,7 @@ from weylmod.indecomp import (
 from weylmod.linalg import Matrix, OpGraph, iter_matrices, iter_span, solve_intertwiners
 from weylmod.orbits import SepMaxIdeal, ShiftVector, make_window, orbit_info
 from weylmod.simples import structural_simplicity_certificate
-from weylmod.skeleton import build_skeleton, relation_holds
+from weylmod.skeleton import build_skeleton, relation_holds, skeleton_quiver
 from weylmod.weightmod import (
     is_indecomposable_finite,
     is_simple_finite,
@@ -378,7 +378,8 @@ def test_relabelling_is_the_reference_relabelling():
 
 
 def test_build_skeleton_relations_read_as_named_words():
-    # each relation path, read one step at a time through the generator map
+    # each skeleton_quiver relation as a path through the generator map, read
+    # back one step at a time as q1/q2 arrow names
     half = Poly(QQ, [Fraction(-1, 2), 1])
     x = Poly.x(QQ)
     for gens, quiver in [
@@ -399,7 +400,12 @@ def test_build_skeleton_relations_read_as_named_words():
                 gamma = gamma.step(i, 1 if kind == "X" else -1)
             return out
 
-        words = [sum((word(path) for path in rel[1:]), ()) for rel in alg.relations]
+        def path(arrows):  # x.y runs y's path, then x's
+            steps = sum((alg.gmap[x]["steps"] for x in reversed(arrows)), ())
+            return {"start": alg.gmap[arrows[-1]]["start"], "steps": steps}
+
+        sides = [(rel[:2], rel[2:]) for rel in skeleton_quiver(info.break_set)[2]]
+        words = [sum((word(path(side)) for side in rel if side), ()) for rel in sides]
         assert _relation_set(words) == _relation_set(QUIVER_RELATIONS[quiver])
 
 

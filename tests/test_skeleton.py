@@ -3,13 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from weylmod.errors import ObjectMismatch
+from weylmod.errors import ObjectMismatch, RelationViolation
 from weylmod.fields import GF, QQ, Poly, extend
+from weylmod.linalg import Matrix
 from weylmod.orbits import SepMaxIdeal, ShiftVector, make_window, orbit_info
 from weylmod.skeleton import (
     SkelMorphismA,
     SkelMorphismB,
-    TauAction,
     algebra_dim_A,
     build_skeleton,
     compose_A,
@@ -17,6 +17,12 @@ from weylmod.skeleton import (
     hom_space_A,
     skeleton_loops,
     skeleton_quiver,
+)
+from weylmod.weightmod import (
+    SkeletonModuleB,
+    WeightModule,
+    from_skeleton_module,
+    to_skeleton_module,
 )
 
 F2 = GF(2)
@@ -35,6 +41,23 @@ def test_object_mismatch():
     a1 = SkelMorphismA.gen_a(QQ, ZERO, 1)
     with pytest.raises(ObjectMismatch):
         compose_A(a1, a1)
+
+
+def test_letters_must_be_those_of_the_hom_space():
+    one = QQ.one()
+    E2 = ShiftVector.e(2)
+    for source, target, letters in [
+        (ZERO, E1, ((1, "b"),)),  # wrong direction
+        (ZERO, E1, ()),  # the bits differ with no letter
+        (ZERO, ZERO, ((1, "z"),)),  # an unknown letter on equal bits
+        (ZERO, E1, ((1, "a"), (2, "a"))),  # a letter where the bits agree
+        (E1, E2, ((1, "b"),)),  # one of two letters missing
+    ]:
+        with pytest.raises(ValueError):
+            SkelMorphismA(source, target, one, letters)
+    with pytest.raises(ValueError):
+        SkelMorphismA(ShiftVector.e(1, 2), E1, QQ.zero())  # not a 0/1 object
+    assert SkelMorphismA(E1, E2, one, ((2, "a"), (1, "b"))).letters == ((1, "b"), (2, "a"))
 
 
 def test_commuting_square_normal_form():
@@ -153,17 +176,16 @@ def _stable_info():
 
 def test_one_object_monomials_twist():
     info = _stable_info()
-    tau = TauAction(info.residue, info.tau)
     field = info.residue.desc
     u = field.gen()
     c = SkelMorphismB.gen(field, "c", 1)
     cinv = SkelMorphismB.gen(field, "c", 1, -1)
-    assert compose_B(c, cinv, tau) == SkelMorphismB.identity(field)
+    assert compose_B(c, cinv, info) == SkelMorphismB.identity(field)
     # moving a coefficient across c applies the shift, and back undoes it
     lam = SkelMorphismB(u)
-    moved = compose_B(c, lam, tau)
+    moved = compose_B(c, lam, info)
     assert moved.coeff == info.residue.sigma_pow(u, 1, 1)
-    assert compose_B(cinv, compose_B(c, lam, tau), tau) == lam
+    assert compose_B(cinv, compose_B(c, lam, info), info) == lam
 
 
 def test_tau_roundtrip_on_samples():
@@ -180,13 +202,12 @@ def test_tau_roundtrip_on_samples():
 
 def test_ab_zero_in_one_object_algebra():
     info = orbit_info(SepMaxIdeal(F2, 1, {1: Poly(F2, [0, 1])}))
-    tau = TauAction(info.residue, info.tau)
     field = info.residue.desc
     a = SkelMorphismB.gen(field, "a", 1)
     b = SkelMorphismB.gen(field, "b", 1)
-    assert compose_B(a, b, tau).is_zero()
-    assert compose_B(b, a, tau).is_zero()
-    assert compose_B(a, a, tau).word == ((1, "a", 2),)
+    assert compose_B(a, b, info).is_zero()
+    assert compose_B(b, a, info).is_zero()
+    assert compose_B(a, a, info).word == ((1, "a", 2),)
 
 
 def test_build_skeleton_shapes():
@@ -258,52 +279,94 @@ def test_charp_relations_are_read_off_the_loops(field, gens):
     alg = build_skeleton(info)
     gmap, relations = _reference_charp_relations(info)
     assert alg.kind == "B" and alg.objects == (ZERO,) and alg.gmap == gmap
+    # each relation of skeleton_loops, as paths through the generator map
+    paths = [
+        ("equal", _gmap_path(alg, rel[:2]), _gmap_path(alg, rel[2:])) if len(rel) == 4
+        else ("zero" if len(rel) == 2 else "invertible", _gmap_path(alg, rel))
+        for rel in skeleton_loops(info.break_set, info.nonbreak_set)[2]
+    ]
     # the same relations, less the same-index equalities that a.b = b.a = 0 imply
     def same_index(rel):
         return rel[0] == "equal" and len({i for _, i in rel[1]["steps"]}) == 1
 
-    assert alg.relations == [rel for rel in relations if not same_index(rel)]
-    assert len(relations) - len(alg.relations) == len(info.break_set)
+    assert paths == [rel for rel in relations if not same_index(rel)]
+    assert len(relations) - len(paths) == len(info.break_set)
 
 
-def test_functor_words_satisfy_relations_char0():
+def _gmap_path(alg, word):
+    """The weight-module path of an arrow word: x.y runs y's path, then x's."""
+    steps = sum((alg.gmap[x]["steps"] for x in reversed(word)), ())
+    return {"start": alg.gmap[word[-1]]["start"], "steps": steps}
+
+
+def _counting_relation_checks(monkeypatch):
+    import weylmod.weightmod as wm
+
+    counts, holds = [], wm.relation_holds
+    monkeypatch.setattr(wm, "relation_holds", lambda *args: counts.append(1) or holds(*args))
+    return counts
+
+
+def test_functor_words_satisfy_relations_char0(monkeypatch):
     from weylmod.indecomp import build_order1_modules, build_order2_module, q2_indecomposables
-    from weylmod.weightmod import check_skeleton_relations
 
+    checked = _counting_relation_checks(monkeypatch)
     info = orbit_info(SepMaxIdeal(QQ, 1, {1: Poly.x(QQ)}))
-    alg = build_skeleton(info)
     for _, module in build_order1_modules(info, make_window(info, radius=2)):
-        report = check_skeleton_relations(alg, module)
-        assert report["ok"] and report["checked"] > 0
+        del checked[:]
+        to_skeleton_module(module)  # the skeleton data checks its relations when built
+        assert len(checked) == len(skeleton_quiver(info.break_set)[2])
     info2 = orbit_info(SepMaxIdeal(QQ, 2, {1: Poly.x(QQ), 2: Poly.x(QQ)}))
-    alg2 = build_skeleton(info2)
     window = make_window(info2, radius=2)
     for rep in q2_indecomposables(QQ, 2, 1):
-        module = build_order2_module(info2, rep, window)
-        assert check_skeleton_relations(alg2, module)["ok"]
+        to_skeleton_module(build_order2_module(info2, rep, window))
 
 
-def test_functor_words_satisfy_relations_charp():
+def test_functor_words_satisfy_relations_charp(monkeypatch):
     from weylmod.simples import build_S_char_p, classify_simples
-    from weylmod.weightmod import check_skeleton_relations
 
+    checked = _counting_relation_checks(monkeypatch)
     info = _stable_info()
-    alg = build_skeleton(info)
     field = info.residue.desc
     n_gen = Poly(field, [field.one(), field.one(), field.zero(), field.one()])
     module = build_S_char_p(info, classify_simples(info)[0], n_gen)
-    report = check_skeleton_relations(alg, module)
-    assert report["ok"] and report["checked"] > 0
+    del checked[:]
+    to_skeleton_module(module)
+    assert checked == []  # one loop c_1 and no pair: its inverse is the check
 
     mixed = orbit_info(SepMaxIdeal(F2, 2, {1: Poly(F2, [1, 1, 1]), 2: Poly.x(F2)}))
-    malg = build_skeleton(mixed)
     mfield = mixed.residue.desc
     mmod = build_S_char_p(
         mixed,
         classify_simples(mixed)[0],
         Poly(mfield, [mfield.one(), mfield.one(), mfield.zero(), mfield.one()]),
     )
-    assert check_skeleton_relations(malg, mmod)["ok"]
+    del checked[:]
+    to_skeleton_module(mmod)
+    assert len(checked) == 4  # a.b = b.a = 0 at 2, and a_2, b_2 each commute with c_1
+
+
+def test_a_module_breaking_a_skeleton_relation_is_refused_when_read():
+    from weylmod.indecomp import build_order1_modules
+
+    # char 0: M(raise) has a = 1 and b = 0 at its crossing; b = 1 makes a.b != 0
+    info = orbit_info(SepMaxIdeal(QQ, 1, {1: Poly.x(QQ)}))
+    module = dict(build_order1_modules(info, make_window(info, radius=1)))["M(raise)"]
+    dmat = dict(module.dmat)
+    dmat[1, E1] = Matrix.identity(QQ, 1)
+    broken = WeightModule(info, module.window, module.spaces, module.xmat, dmat)
+    with pytest.raises(RelationViolation, match="relation"):
+        to_skeleton_module(broken)
+    # char p: a break with a = 1, b = 0; a nonzero lowering at 1 makes a.b != 0
+    F3 = GF(3)
+    pinfo = orbit_info(SepMaxIdeal(F3, 1, {1: Poly.x(F3)}))
+    one, zero = Matrix.identity(F3, 1), Matrix.zeros(F3, 1, 1)
+    module = from_skeleton_module(SkeletonModuleB(pinfo, 1, {1: one}, {1: zero}, {}), pinfo)
+    dmat = dict(module.dmat)
+    dmat[1, E1] = one
+    broken = WeightModule(pinfo, module.window, module.spaces, module.xmat, dmat)
+    with pytest.raises(RelationViolation, match="relation"):
+        to_skeleton_module(broken)
 
 
 def test_order_three_twist():

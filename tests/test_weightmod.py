@@ -213,6 +213,22 @@ def test_zero_module_passes_vacuously():
     assert module.kdim() == 0
 
 
+def test_negative_or_off_window_dimensions_are_refused():
+    info = half_shift_info(1)
+    window = make_window(info, radius=0)
+    outs = {(1, g): OUT for g in window}
+    for spaces in ({ZERO: -3}, {ZERO: 1, ShiftVector.e(1, 5): 0}):
+        with pytest.raises(ValueError):
+            WeightModule(info, window, spaces, outs, outs)
+    with pytest.raises(ValueError):
+        SkeletonModuleA(QQ, (), {ZERO: -2}, {}, {})
+    with pytest.raises(ValueError):  # a break set (1,) has no object e_2
+        SkeletonModuleA(QQ, (1,), {ShiftVector.e(2): 1}, {}, {})
+    binfo = orbit_info(SepMaxIdeal(F3, 1, {1: Poly.x(F3)}))
+    with pytest.raises(ValueError):
+        SkeletonModuleB(binfo, -1, {}, {}, {})
+
+
 def test_weight_condition_is_generator_annihilation():
     info = stable_charp_info()
     descs = classify_simples(info)
