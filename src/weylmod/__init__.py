@@ -8,7 +8,7 @@ arithmetic is exact: rationals, prime fields, and finite tower extensions.
 """
 
 from .errors import WeylmodError
-from .fields import GF, QQ, FieldDesc, FieldElem, Poly, extend, is_irreducible, poly_arith, poly_shift
+from .fields import GF, QQ, FieldDesc, FieldElem, Poly, extend, is_irreducible, poly_shift
 from .heisenberg import (
     default_heisenberg_orbit,
     graded_count,

@@ -652,21 +652,6 @@ def poly_shift(f: Poly, k: int) -> Poly:
     return f.shift(k)
 
 
-def poly_arith(op: str, f: Poly, g):
-    """Single dispatch point for the basic polynomial operations."""
-    if op == "add":
-        return f + g
-    if op == "mul":
-        return f * g
-    if op == "divmod":
-        return divmod(f, g)
-    if op == "gcd":
-        return f.gcd(g)
-    if op == "eval":
-        return f.eval(g)
-    raise ValueError(f"unknown polynomial operation {op!r}")
-
-
 def iter_monic_polys(field: FieldDesc, degree: int) -> Iterator[Poly]:
     """All monic polynomials of the given degree over a finite field."""
     elems = list(field.enumerate_elements())

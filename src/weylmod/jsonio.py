@@ -4,7 +4,9 @@ Field elements: rationals as "num/den" strings, prime-field elements as least
 residues, extension elements as ascending coefficient arrays.  Polynomials
 are ascending coefficient arrays; matrices are row-major.  Weight maps are
 keyed by the canonical string form of a shift vector ("1:3,4:-2"; "" for the
-zero vector).  Every encoder sorts keys, so output is byte-deterministic.
+zero vector).  A module file holds ``spaces``, then ``x`` and ``d`` by index
+and weight key, with the string "out" (``OUT``) exactly where the step leaves
+the window.  Every encoder sorts keys, so output is byte-deterministic.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .errors import SchemaError
+from .errors import RelationViolation, SchemaError
 from .fields import QQ, FieldDesc, FieldElem, GF, Poly, extend
 from .indecomp import QuiverRep, quiver_layout
 from .linalg import Matrix
@@ -25,9 +27,10 @@ from .orbits import (
     make_window,
     orbit_info,
 )
-from .weightmod import OUT, WeightModule
+from .weightmod import WeightModule
 
 SCHEMA = "weylmod/1"
+OUT = "out"  # a module's x or d cell where the step leaves the window
 
 
 def dumps(obj) -> str:
@@ -219,14 +222,12 @@ def module_to_json(module: WeightModule):
         "d": {},
     }
     for i in module.window.indices:
-        xs, ds = {}, {}
-        for g in module.window:
-            xm = module.x(i, g)
-            xs[shift_key(g)] = OUT if xm == OUT else matrix_to_json(xm)
-            dm = module.d(i, g)
-            ds[shift_key(g)] = OUT if dm == OUT else matrix_to_json(dm)
-        out["x"][str(i)] = xs
-        out["d"][str(i)] = ds
+        for letter, op, direction in (("x", module.x, 1), ("d", module.d, -1)):
+            out[letter][str(i)] = {
+                shift_key(g): OUT if module.window.step(g, i, direction) is None
+                else matrix_to_json(op(i, g))
+                for g in module.window
+            }
     return out
 
 
@@ -252,19 +253,23 @@ def module_from_json(data) -> WeightModule:
         desc = info.residue.desc
         xmat, dmat = {}, {}
         for i in window.indices:
-            xs = data["x"][str(i)]
-            ds = data["d"][str(i)]
             for g in window:
-                key = shift_key(g)
-                for store, raw, direction in ((xmat, xs, 1), (dmat, ds, -1)):
-                    cell = raw[key]
-                    if cell == OUT:
-                        store[(i, g)] = OUT
-                        continue
+                for store, letter, direction in ((xmat, "x", 1), (dmat, "d", -1)):
+                    cell = data[letter][str(i)][shift_key(g)]
                     target = window.step(g, i, direction)
+                    if cell == OUT:
+                        if target is not None:
+                            raise RelationViolation(
+                                f"in-window transition at {g!r} index {i} tagged out"
+                            )
+                        continue
                     store[(i, g)] = matrix_from_json(
                         desc, cell, spaces.get(target, 0), spaces.get(g, 0)
                     )
+                    if target is None:
+                        raise RelationViolation(
+                            f"transition at {g!r} index {i} should be tagged out-of-window"
+                        )
         return WeightModule(info, window, spaces, xmat, dmat)
     except SchemaError:
         raise

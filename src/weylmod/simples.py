@@ -31,7 +31,6 @@ from .fields import Poly
 from .linalg import Matrix, companion_matrix
 from .orbits import ZERO_SHIFT, OrbitInfo, ShiftVector, Window, region_of
 from .weightmod import (
-    OUT,
     SkeletonModuleA,
     SkeletonModuleB,
     WeightModule,
@@ -269,10 +268,8 @@ def structural_simplicity_certificate(module: WeightModule) -> bool:
     for gamma in support:
         for i in module.window.indices:
             for mat, s in ((module.x(i, gamma), 1), (module.d(i, gamma), -1)):
-                if mat == OUT:
-                    continue
                 target = module.window.step(gamma, i, s)
-                if module.dim(target) == 0:
+                if target is None or module.dim(target) == 0:
                     continue
                 if mat.nrows != mat.ncols or mat.inverse() is None:
                     return False

@@ -1,30 +1,31 @@
 """Windowed weight modules with exact relation checks and translation functors.
 
-A weight module is stored as one exact matrix per raising/lowering generator
-per window weight, over the residue field of the orbit's base point.  In
-positive characteristic a direction whose shift fixes the base point acts
-semilinearly; such matrices carry an implicit coefficient twist, and every
-composition here routes through :meth:`WeightModule.compose_op`, which
-applies it.  Paths are words of ("X", i) raising and ("Y", i) lowering steps,
-composed by one walker, :meth:`WeightModule.walk`: ``evaluate_path`` wraps
-it, and :func:`verify_relations` checks each defining relation as a pair of
-words walked from the same weight.  Every step from one weight to the next is
-read from the window's step table (:meth:`Window.step`); ``OrbitInfo.step``
-stays the independent reference that the tests check the table against.
+A weight module is stored as one exact matrix per raising or lowering step
+that stays in its window, over the residue field of the orbit's base point;
+a step that leaves the window has no matrix.  In positive characteristic a
+direction whose shift fixes the base point acts semilinearly; such matrices
+carry an implicit coefficient twist, and every composition here routes
+through :meth:`WeightModule.compose_op`, which applies it.  Paths are words
+of ("X", i) raising and ("Y", i) lowering steps, composed by one walker,
+:meth:`WeightModule.walk`: ``evaluate_path`` wraps it, and
+:func:`verify_relations` checks each defining relation as a pair of words
+walked from the same weight.  Every step from one weight to the next is read
+from the window's step table (:meth:`Window.step`); ``OrbitInfo.step`` stays
+the independent reference that the tests check the table against.
 
-The two functors between weight modules and skeleton modules are exact
-mutually-inverse expansions: interior transitions of an expanded module are
-identities (raising) and edge scalars (lowering), and all of the classifying
-constructions elsewhere in the package are expansions of skeleton data.
-:func:`to_skeleton_module` reads each generator's matrix along its path in
-the generator map of ``skeleton.build_skeleton``, in both characteristics.
+The two functors between weight modules and skeleton modules are mutually
+inverse, and all of the classifying constructions elsewhere in the package
+are expansions of skeleton data.  Both read the generators by their keys in
+the generator map of ``skeleton.build_skeleton``, in one loop for both
+characteristics: :func:`from_skeleton_module` places each one on the steps
+across a wall, and :func:`to_skeleton_module` reads it along its path.
 Skeleton data (:class:`SkeletonModuleA`, :class:`SkeletonModuleB`) is checked
 once, when it is built, against the quiver with relations that states its
 algebra (``skeleton.skeleton_quiver``, ``skeleton.skeleton_loops``); that is
 the one check of the skeleton relations.  The coefficient twist of a
 semilinear product is ``OrbitInfo.sigma_twist``.  Every module class refuses
-a negative dimension, or one recorded off its window or objects, with
-``ValueError``.
+a negative dimension, or one recorded off its window or objects, and
+:class:`WeightModule` a matrix off its window's steps, with ``ValueError``.
 
 The oracles (closures, simplicity, indecomposability) run on the
 ``linalg.OpGraph`` of a module's :class:`KLinearization`, the shape quiver
@@ -55,9 +56,6 @@ from .orbits import (
 )
 from .skeleton import build_skeleton, relation_holds, skeleton_loops, skeleton_quiver
 
-OUT = "out"  # tag for transitions whose target weight leaves the window
-
-
 def _merge_twists(a: Dict[int, int], b: Dict[int, int]) -> Dict[int, int]:
     out = dict(a)
     for i, e in b.items():
@@ -86,9 +84,11 @@ def _check_dims(dims, places, where: str):
 class WeightModule:
     """A weight module materialized on a finite window of weights.
 
-    ``spaces`` gives a dimension >= 0 at each window weight and nowhere else
-    (``ValueError`` otherwise); a missing one or a missing or misshapen
-    matrix raises :class:`WindowTooSmall` or :class:`RelationViolation`.
+    ``spaces`` gives a dimension >= 0 at each window weight, and ``xmat`` and
+    ``dmat`` a matrix keyed (index, weight) for each step that stays in the
+    window, and nothing else (``ValueError`` otherwise); a missing one or a
+    misshapen matrix raises :class:`WindowTooSmall` or :class:`RelationViolation`.
+    ``x``/``d`` give None where the step leaves the window.
     """
 
     def __init__(self, info: OrbitInfo, window: Window, spaces, xmat, dmat):
@@ -102,31 +102,30 @@ class WeightModule:
 
     def _validate(self):
         _check_dims(self.spaces, self.window, "window")
+        steps = 0
         for gamma in self.window:
             if gamma not in self.spaces:
                 raise WindowTooSmall(f"no space recorded at {gamma!r}")
             for i in self.window.indices:
                 for store, direction in ((self.xmat, 1), (self.dmat, -1)):
-                    key = (i, gamma)
-                    if key not in store:
-                        raise WindowTooSmall(f"missing matrix for index {i} at {gamma!r}")
-                    mat = store[key]
                     target = self.window.step(gamma, i, direction)
                     if target is None:
-                        if mat != OUT:
-                            raise RelationViolation(
-                                f"transition at {gamma!r} index {i} should be "
-                                "tagged out-of-window"
-                            )
                         continue
-                    if mat == OUT:
-                        raise RelationViolation(
-                            f"in-window transition at {gamma!r} index {i} tagged out"
-                        )
+                    steps += 1
+                    mat = store.get((i, gamma))
+                    if not isinstance(mat, Matrix):
+                        raise WindowTooSmall(f"missing matrix for index {i} at {gamma!r}")
                     if mat.nrows != self.spaces[target] or mat.ncols != self.spaces[gamma]:
                         raise RelationViolation(
                             f"shape mismatch at {gamma!r} index {i}: "
                             f"{mat.nrows}x{mat.ncols}"
+                        )
+        if len(self.xmat) + len(self.dmat) > steps:  # a matrix is off the window's steps
+            for store, direction in ((self.xmat, 1), (self.dmat, -1)):
+                for i, gamma in store:
+                    if self.window.step(gamma, i, direction) is None:
+                        raise ValueError(
+                            f"matrix recorded at {gamma!r} index {i}, off the window's steps"
                         )
 
     # ---- access ----------------------------------------------------------
@@ -134,11 +133,11 @@ class WeightModule:
     def dim(self, gamma: ShiftVector) -> int:
         return self.spaces.get(gamma, 0)
 
-    def x(self, i: int, gamma: ShiftVector):
-        return self.xmat[(i, gamma)]
+    def x(self, i: int, gamma: ShiftVector) -> Optional[Matrix]:
+        return self.xmat.get((i, gamma))
 
-    def d(self, i: int, gamma: ShiftVector):
-        return self.dmat[(i, gamma)]
+    def d(self, i: int, gamma: ShiftVector) -> Optional[Matrix]:
+        return self.dmat.get((i, gamma))
 
     def x_twist(self, i: int) -> Dict[int, int]:
         e = self.info.tau_exponent(i)
@@ -156,9 +155,9 @@ class WeightModule:
         return self.residue_dim() * self.info.residue.degree_over_base()
 
     def has_out_tags(self) -> bool:
-        return any(m == OUT for m in self.xmat.values()) or any(
-            m == OUT for m in self.dmat.values()
-        )
+        """Whether some step leaves the window: the module is then a truncation."""
+        w = self.window
+        return any(w.step(g, i, s) is None for g in w for i in w.indices for s in (1, -1))
 
     def compose_op(self, second, first):
         """Compose two (matrix, twist) operators, second after first."""
@@ -167,14 +166,14 @@ class WeightModule:
         return (mat2 * _apply_twist(self.info, mat1, tw2), _merge_twists(tw2, tw1))
 
     def op_x(self, i: int, gamma: ShiftVector):
-        mat = self.x(i, gamma)
-        if mat == OUT:
+        mat = self.xmat.get((i, gamma))
+        if mat is None:
             raise WindowTooSmall(f"raising step at {gamma!r} leaves the window")
         return (mat, self.x_twist(i))
 
     def op_d(self, i: int, gamma: ShiftVector):
-        mat = self.d(i, gamma)
-        if mat == OUT:
+        mat = self.dmat.get((i, gamma))
+        if mat is None:
             raise WindowTooSmall(f"lowering step at {gamma!r} leaves the window")
         return (mat, self.d_twist(i))
 
@@ -234,8 +233,6 @@ def direct_sum(a: WeightModule, b: WeightModule) -> WeightModule:
     zero = a.field.zero()
 
     def block(ma, mb):
-        if ma == OUT or mb == OUT:
-            return OUT
         rows = tuple(r + (zero,) * mb.ncols for r in ma.rows)
         rows += tuple((zero,) * ma.ncols + r for r in mb.rows)
         return Matrix._of(a.field, ma.nrows + mb.nrows, ma.ncols + mb.ncols, rows)
@@ -440,85 +437,60 @@ class SkeletonModuleB:
 def from_skeleton_module(data, info: OrbitInfo, window: Optional[Window] = None):
     """Expand skeleton-module data to a windowed weight module.
 
-    Interior transitions are identities (raising) and edge scalars
-    (lowering); transitions across region boundaries, and full cycles in the
-    cyclic case, realize the skeleton generator matrices.
+    A wall is the raising step from coordinate 0 at a break index, or in
+    characteristic p the raising step from coordinate period - 1 at any other
+    index.  Raising across a wall is the skeleton generator a (at a break) or
+    c, keyed as in ``build_skeleton(info).gmap``; lowering back across it is
+    b, or c's inverse operator times the edge scalar.  Every other raising
+    step is the identity, and every other lowering step the edge scalar.  In
+    characteristic p the window is the whole orbit, whatever is passed.
     """
     if isinstance(data, SkeletonModuleA):
-        return _expand_A(data, info, window)
-    if isinstance(data, SkeletonModuleB):
-        return _expand_B(data, info)
-    raise TypeError(f"not skeleton-module data: {data!r}")
-
-
-def _expand_A(data: SkeletonModuleA, info: OrbitInfo, window) -> WeightModule:
-    if info.char != 0:
-        raise RelationViolation("two-sided skeleton data needs characteristic zero")
-    if data.break_set != info.break_set:
-        raise RelationViolation("skeleton data built for a different break set")
-    if window is None:
+        if info.char != 0:
+            raise RelationViolation("two-sided skeleton data needs characteristic zero")
+        if data.break_set != info.break_set:
+            raise RelationViolation("skeleton data built for a different break set")
+        if window is None:
+            window = make_window(info)
+        # what a generator's key holds between its letter and its index: the
+        # region the raising step starts from, or nothing in characteristic p
+        region = {gamma: (canonical_skeleton_rep(info, gamma),) for gamma in window}
+        spaces = {gamma: data.dim(*region[gamma]) for gamma in window}
+        arrows = data.arrows
+    elif isinstance(data, SkeletonModuleB):
+        if info.char == 0:
+            raise RelationViolation("one-object skeleton data needs characteristic p")
         window = make_window(info)
+        region, spaces = dict.fromkeys(window, ()), dict.fromkeys(window, data.dimension)
+        # A break index has period p, and the other lowering scalars of its
+        # cycle, 1, 2, ..., p-2 and -1, multiply to (p-2)!(-1) = -1 by Wilson's
+        # theorem; so the cycle of lowerings multiplies to b when the step
+        # back across the wall is -b.
+        arrows = {x: -m if x[0] == "b" else m for x, m in data.arrows.items()}
+    else:
+        raise TypeError(f"not skeleton-module data: {data!r}")
+
+    walls = {i: (0, "a") for i in info.break_set}  # index -> (wall's start coordinate, letter)
+    if info.char:  # and a loop c at every other index
+        walls.update((i, (info.period(i) - 1, "c")) for i in info.nonbreak_set)
     field = info.residue.desc
-    region = {gamma: canonical_skeleton_rep(info, gamma) for gamma in window}
-    spaces = {gamma: data.dim(region[gamma]) for gamma in window}
+    ident = {d: Matrix.identity(field, d) for d in set(spaces.values())}
     xmat, dmat = {}, {}
-    for gamma in window:
+    for gamma in window:  # each in-window pair: raising from down to gamma, lowering back
         for i in window.indices:
-            up = window.step(gamma, i, 1)
-            if up is None:
-                xmat[(i, gamma)] = OUT
-            elif info.is_break_index(i) and gamma.get(i) == 0:
-                xmat[(i, gamma)] = data.a[(region[gamma], i)]
-            else:
-                xmat[(i, gamma)] = Matrix.identity(field, spaces[gamma])
             down = window.step(gamma, i, -1)
             if down is None:
-                dmat[(i, gamma)] = OUT
-            elif info.is_break_index(i) and gamma.get(i) == 1:
-                dmat[(i, gamma)] = data.b[(region[down], i)]
+                continue
+            at, letter = walls.get(i, (None, None))
+            if down.get(i) != at:
+                xmat[i, down] = ident[spaces[down]]
+                dmat[i, gamma] = Matrix.scalar(field, spaces[gamma], info.edge_scalar(down, i))
+                continue
+            xmat[i, down] = arrows[(letter, *region[down], i)]
+            if letter == "a":
+                dmat[i, gamma] = arrows[("b", *region[down], i)]
             else:
-                scalar = info.edge_scalar(down, i)
-                dmat[(i, gamma)] = Matrix.scalar(field, spaces[gamma], scalar)
-    return WeightModule(info, window, spaces, xmat, dmat)
-
-
-def _expand_B(data: SkeletonModuleB, info: OrbitInfo) -> WeightModule:
-    if info.char == 0:
-        raise RelationViolation("one-object skeleton data needs characteristic p")
-    window = make_window(info)
-    field = info.residue.desc
-    d = data.dimension
-    spaces = {gamma: d for gamma in window}
-    ident = Matrix.identity(field, d)
-    # A break index has period p, and the other lowering scalars of its cycle,
-    # 1, 2, ..., p-2 and -1, multiply to (p-2)!(-1) = -1 by Wilson's theorem;
-    # so the cycle of lowerings multiplies to b when its step at 1 is -b.
-    lowering_break = {i: -data.b[i] for i in info.break_set}
-
-    xmat, dmat = {}, {}
-    for gamma in window:
-        for i in window.indices:
-            r = info.period(i)
-            gi = gamma.get(i)
-            down = window.step(gamma, i, -1)
-            if i in info.break_set:
-                xmat[(i, gamma)] = data.a[i] if gi == 0 else ident
-                if gi == 1:
-                    dmat[(i, gamma)] = lowering_break[i]
-                else:
-                    scalar = info.edge_scalar(down, i)
-                    dmat[(i, gamma)] = Matrix.scalar(field, d, scalar)
-            elif r == 1:
-                xmat[(i, gamma)] = data.c[i]
-                dmat[(i, gamma)] = data.c_inverse[i].scale(info.tbar(i))
-            else:
-                xmat[(i, gamma)] = data.c[i] if gi == r - 1 else ident
-                if gi == 0:
-                    scalar = info.edge_scalar(down, i)
-                    dmat[(i, gamma)] = data.c_inverse[i].scale(scalar)
-                else:
-                    scalar = info.edge_scalar(down, i)
-                    dmat[(i, gamma)] = Matrix.scalar(field, d, scalar)
+                dmat[i, gamma] = data.c_inverse[i].scale(info.edge_scalar(down, i))
     return WeightModule(info, window, spaces, xmat, dmat)
 
 
@@ -579,8 +551,9 @@ class KLinearization:
                     (module.x(i, gamma), 1, module.x_twist(i)),
                     (module.d(i, gamma), -1, module.d_twist(i)),
                 ):
-                    if mat != OUT:
-                        ops.append((gamma, step(gamma, i, sign), self.kblock(mat, twist)))
+                    target = step(gamma, i, sign)
+                    if target is not None:
+                        ops.append((gamma, target, self.kblock(mat, twist)))
             for gen in self._tower_gens():
                 mult = Matrix.scalar(self.residue.desc, module.dim(gamma), gen)
                 ops.append((gamma, gamma, self.kblock(mult, {})))
@@ -617,11 +590,8 @@ class KLinearization:
                 rows.append(tuple(itertools.chain.from_iterable(b[br] for b in row_blocks)))
         return Matrix._of(self.kfield, mat.nrows * ext, mat.ncols * ext, tuple(rows))
 
-    def kvec(self, gamma: ShiftVector, residue_vec) -> tuple:
-        out = []
-        for entry in residue_vec:
-            out.extend(to_kvec(entry, self.kfield))
-        return tuple(out)
+    def kvec(self, residue_vec) -> tuple:
+        return tuple(itertools.chain.from_iterable(to_kvec(e, self.kfield) for e in residue_vec))
 
 
 def submodule_closure(module: WeightModule, seeds) -> dict:
@@ -636,7 +606,7 @@ def submodule_closure(module: WeightModule, seeds) -> dict:
         vec = tuple(vec)
         if len(vec) != module.dim(gamma):
             raise ValueError(f"seed length mismatch at {gamma!r}")
-        kseeds.append((gamma, lin.kvec(gamma, vec)))
+        kseeds.append((gamma, lin.kvec(vec)))
     spaces = lin.graph.spin(kseeds)
     return {
         "profile": {g: spaces[g].dim // lin.ext for g in module.window},
@@ -655,7 +625,7 @@ def _iter_lines(lin: KLinearization, gamma: ShiftVector):
     dim = lin.module.dim(gamma)
     for lead in range(dim):
         for rest in itertools.product(elems, repeat=dim - lead - 1):
-            yield lin.kvec(gamma, (zero,) * lead + (one,) + rest)
+            yield lin.kvec((zero,) * lead + (one,) + rest)
 
 
 def _iter_unit_seeds(kfield: FieldDesc, kdims, weights):
@@ -710,32 +680,22 @@ def is_simple_finite(module: WeightModule, *, max_vectors: int = 1 << 16) -> boo
     )
 
 
-def _assemble_block_diag(field, weights, dims, sol):
-    total = sum(dims[g] for g in weights)
-    rows = [[field.zero()] * total for _ in range(total)]
-    pos = 0
-    for g in weights:
-        d = dims[g]
-        block = sol[g]
-        for r in range(d):
-            for c in range(d):
-                rows[pos + r][pos + c] = block.entry(r, c)
-        pos += d
-    return Matrix._of(field, total, total, tuple(map(tuple, rows)))
-
-
-def _matrix_minpoly(field, mat: Matrix) -> Poly:
-    n = mat.nrows
-    powers = [Matrix.identity(field, n)]
+def _matrix_minpoly(field, endo) -> Poly:
+    """The minimal polynomial of an endomorphism given by its blocks, one
+    square matrix per weight: the least monic polynomial killing every block."""
+    powers = [{g: Matrix.identity(field, mat.nrows) for g, mat in endo.items()}]
     while True:
         flat_rows = tuple(
-            tuple(p.entry(r, c) for p in powers) for r in range(n) for c in range(n)
+            tuple(p[g].entry(r, c) for p in powers)
+            for g, mat in endo.items()
+            for r in range(mat.nrows)
+            for c in range(mat.nrows)
         )
-        kernel = Matrix._of(field, n * n, len(powers), flat_rows).nullspace()
+        kernel = Matrix._of(field, len(flat_rows), len(powers), flat_rows).nullspace()
         if kernel:
             coeffs = min(kernel, key=lambda v: sum(1 for x in v if not x.is_zero()))
             return Poly(field, coeffs).monic()
-        powers.append(powers[-1] * mat)
+        powers.append({g: powers[-1][g] * mat for g, mat in endo.items()})
 
 
 def is_indecomposable_finite(
@@ -761,17 +721,14 @@ def is_indecomposable_finite(
     basis = solve_intertwiners(lin.graph, lin.graph)
     if not basis:
         return False  # the zero module
-    dims = lin.kdims
-    weights = list(dims)
     if not module.info.tau or all(v == "one" for v in module.info.tau.values()):
         if len(basis) == lin.ext:
             return True
     for sol in basis + [
-        {g: a[g] + b[g] for g in weights}
+        {g: a[g] + b[g] for g in a}
         for a, b in itertools.combinations(basis, 2)
     ]:
-        big = _assemble_block_diag(kfield, weights, dims, sol)
-        mp = _matrix_minpoly(kfield, big)
+        mp = _matrix_minpoly(kfield, sol)
         for root in rational_roots(mp) or ():
             linear = Poly(kfield, (-root, kfield.one()))
             quotient = mp

@@ -385,6 +385,30 @@ def test_negative_or_off_window_space_is_a_schema_error(tmp_path, capsys, spaces
     assert json.loads(out)["error"]["name"] == "SchemaError"
 
 
+@pytest.mark.parametrize(
+    "key,cell,code,name,message",
+    [
+        ("", "out", 1, "RelationViolation", "in-window transition at 0 index 1 tagged out"),
+        ("1:1", [[1]], 2, "SchemaError", "matrix shape 1x1 does not match expected 0x1"),
+        (
+            "1:1", [], 1, "RelationViolation",
+            "transition at 1:1 index 1 should be tagged out-of-window",
+        ),
+    ],
+)
+def test_a_misplaced_out_tag_is_refused(tmp_path, capsys, key, cell, code, name, message):
+    # "out" marks exactly the steps that leave the window: here the raising
+    # step from 1:1, the top of the radius-1 window of the q1 module M_a
+    module = json.loads(INDECOMP_BUILD_Q1_M_A)
+    module["x"]["1"][key] = cell
+    path = write(tmp_path, "module.json", module)
+    expected = json.dumps(
+        {"error": {"message": message, "name": name}}, separators=(",", ":")
+    ) + "\n"
+    for command in ("verify", "simple-check", "indec-check"):
+        assert run(capsys, "module", command, path) == (code, expected)
+
+
 def test_heisenberg_commands(capsys):
     code, out = run(
         capsys, "heisenberg", "graded-dim", "--degree", "0", "--len", "2", "--bound", "2"

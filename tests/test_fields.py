@@ -17,7 +17,6 @@ from weylmod.fields import (
     is_prime,
     iter_monic_polys,
     kbasis,
-    poly_arith,
     poly_shift,
     rational_roots,
     to_kvec,
@@ -52,20 +51,20 @@ def test_prime_check():
 def test_divmod_example_f2():
     f = Poly(F2, [1, 1, 1])
     g = Poly(F2, [1, 1])
-    q, r = poly_arith("divmod", f, g)
+    q, r = divmod(f, g)
     assert q == Poly(F2, [0, 1])
     assert r == Poly(F2, [1])
 
 
 def test_gcd_with_zero_is_monic():
     f = Poly(QQ, [2, 4])  # 2(t + 1/2) scaled
-    assert poly_arith("gcd", f, Poly.zero(QQ)) == f.monic()
-    assert poly_arith("gcd", Poly.zero(F3), Poly(F3, [2, 2])) == Poly(F3, [1, 1])
+    assert f.gcd(Poly.zero(QQ)) == f.monic()
+    assert Poly.zero(F3).gcd(Poly(F3, [2, 2])) == Poly(F3, [1, 1])
 
 
 def test_eval_example_f2():
     f = Poly(F2, [1, 1, 1])
-    assert poly_arith("eval", f, F2.one()) == F2.one()
+    assert f.eval(F2.one()) == F2.one()
 
 
 def test_division_by_zero_poly():

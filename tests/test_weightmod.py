@@ -10,13 +10,23 @@ from weylmod.errors import (
     RelationViolation,
     WindowTooSmall,
 )
-from weylmod.fields import GF, QQ, Poly
-from weylmod.linalg import Matrix, companion_matrix
-from weylmod.indecomp import build_order2_module, q2_indecomposables
-from weylmod.orbits import SepMaxIdeal, ShiftVector, make_window, orbit_info
+from weylmod.fields import GF, QQ, Poly, extend
+from weylmod.linalg import Matrix, companion_matrix, solve_intertwiners
+from weylmod.indecomp import (
+    build_order2_module,
+    q1_indecomposables,
+    q2_indecomposables,
+    rep_to_skeleton_module,
+)
+from weylmod.orbits import (
+    SepMaxIdeal,
+    ShiftVector,
+    canonical_skeleton_rep,
+    make_window,
+    orbit_info,
+)
 from weylmod.simples import build_S_O, build_S_O_p, build_S_char_p, classify_simples
 from weylmod.weightmod import (
-    OUT,
     KLinearization,
     RelationReport,
     SkeletonModuleA,
@@ -206,8 +216,8 @@ def test_zero_module_passes_vacuously():
     window = make_window(info, radius=1)
     spaces = {g: 0 for g in window}
     empty = Matrix.zeros(info.residue.desc, 0, 0)
-    xmat = {(1, g): (empty if info.step(g, 1, 1) in window else OUT) for g in window}
-    dmat = {(1, g): (empty if info.step(g, 1, -1) in window else OUT) for g in window}
+    xmat = {(1, g): empty for g in window if info.step(g, 1, 1) in window}
+    dmat = {(1, g): empty for g in window if info.step(g, 1, -1) in window}
     module = WeightModule(info, window, spaces, xmat, dmat)
     assert verify_relations(module).ok
     assert module.kdim() == 0
@@ -216,10 +226,9 @@ def test_zero_module_passes_vacuously():
 def test_negative_or_off_window_dimensions_are_refused():
     info = half_shift_info(1)
     window = make_window(info, radius=0)
-    outs = {(1, g): OUT for g in window}
     for spaces in ({ZERO: -3}, {ZERO: 1, ShiftVector.e(1, 5): 0}):
-        with pytest.raises(ValueError):
-            WeightModule(info, window, spaces, outs, outs)
+        with pytest.raises(ValueError):  # every step leaves a radius-0 window
+            WeightModule(info, window, spaces, {}, {})
     with pytest.raises(ValueError):
         SkeletonModuleA(QQ, (), {ZERO: -2}, {}, {})
     with pytest.raises(ValueError):  # a break set (1,) has no object e_2
@@ -227,6 +236,27 @@ def test_negative_or_off_window_dimensions_are_refused():
     binfo = orbit_info(SepMaxIdeal(F3, 1, {1: Poly.x(F3)}))
     with pytest.raises(ValueError):
         SkeletonModuleB(binfo, -1, {}, {}, {})
+
+
+def test_matrices_off_the_window_steps_are_refused():
+    # a matrix at a weight off the window, at an index the window lacks, or on
+    # a step that leaves the window would be kept and break ==
+    info = half_shift_info(1)
+    module = build_S_O(info, make_window(info, radius=1))
+    one, top = Matrix.identity(module.field, 1), ShiftVector.e(1)
+    for store, edge in (("xmat", top), ("dmat", ShiftVector.e(1, -1))):
+        for key in ((1, ShiftVector.e(1, 9)), (7, ZERO), (1, edge)):
+            mats = {"xmat": dict(module.xmat), "dmat": dict(module.dmat)}
+            mats[store][key] = one
+            with pytest.raises(ValueError):
+                WeightModule(info, module.window, module.spaces, **mats)
+    tagged = {**module.xmat, (1, ZERO): "out"}
+    with pytest.raises(WindowTooSmall):  # a tag is no matrix
+        WeightModule(info, module.window, module.spaces, tagged, module.dmat)
+    assert (1, top) not in module.xmat and module.x(1, top) is None
+    assert module.has_out_tags() and not _readme_module().has_out_tags()
+    with pytest.raises(WindowTooSmall):
+        module.op_x(1, top)
 
 
 def test_weight_condition_is_generator_annihilation():
@@ -454,11 +484,9 @@ def test_direct_sum_is_blockwise():
     both = direct_sum(s0, s1)
     assert both.kdim() == s0.kdim() + s1.kdim()
     for store in ("xmat", "dmat"):
+        assert getattr(both, store).keys() == getattr(s0, store).keys()
         for key, mat in getattr(both, store).items():
             a, b = getattr(s0, store)[key], getattr(s1, store)[key]
-            if mat == OUT:
-                assert OUT in (a, b)
-                continue
             assert (mat.nrows, mat.ncols) == (a.nrows + b.nrows, a.ncols + b.ncols)
             for r, c in itertools.product(range(mat.nrows), range(mat.ncols)):
                 if r < a.nrows and c < a.ncols:
@@ -865,3 +893,206 @@ def test_kblock_matches_block_by_block_build():
         gen = Matrix.scalar(residue, module.dim(gamma), residue.gen())
         expected.append((gamma, gamma, reference(gen, {})))
     assert lin.graph.ops == expected
+
+
+# ---- the expansion against the two hand-written loops it replaced ----------
+
+
+def _reference_expand_A(data, info, window):
+    """Characteristic zero: raising is a at a break from coordinate 0, else
+    the identity; lowering is b at a break from coordinate 1, else the edge
+    scalar.  A step that leaves the window gets no matrix."""
+    field = info.residue.desc
+    region = {gamma: canonical_skeleton_rep(info, gamma) for gamma in window}
+    spaces = {gamma: data.dim(region[gamma]) for gamma in window}
+    xmat, dmat = {}, {}
+    for gamma in window:
+        for i in window.indices:
+            if window.step(gamma, i, 1) is None:
+                pass
+            elif info.is_break_index(i) and gamma.get(i) == 0:
+                xmat[(i, gamma)] = data.a[(region[gamma], i)]
+            else:
+                xmat[(i, gamma)] = Matrix.identity(field, spaces[gamma])
+            down = window.step(gamma, i, -1)
+            if down is None:
+                continue
+            if info.is_break_index(i) and gamma.get(i) == 1:
+                dmat[(i, gamma)] = data.b[(region[down], i)]
+            else:
+                dmat[(i, gamma)] = Matrix.scalar(field, spaces[gamma], info.edge_scalar(down, i))
+    return WeightModule(info, window, spaces, xmat, dmat)
+
+
+def _reference_expand_B(data, info):
+    """Characteristic p, on the whole orbit: at a break, raising is a from 0
+    and lowering -b from 1; at a loop of period 1, raising is c and lowering
+    c's inverse operator times tbar; at a longer loop, raising is c from
+    period - 1 and lowering c's inverse operator times the edge scalar from 0;
+    every other step is the identity or the edge scalar."""
+    window = make_window(info)
+    field = info.residue.desc
+    d = data.dimension
+    spaces = {gamma: d for gamma in window}
+    ident = Matrix.identity(field, d)
+    xmat, dmat = {}, {}
+    for gamma in window:
+        for i in window.indices:
+            r, gi = info.period(i), gamma.get(i)
+            scalar = info.edge_scalar(window.step(gamma, i, -1), i)
+            if i in info.break_set:
+                xmat[(i, gamma)] = data.a[i] if gi == 0 else ident
+                dmat[(i, gamma)] = -data.b[i] if gi == 1 else Matrix.scalar(field, d, scalar)
+            elif r == 1:
+                xmat[(i, gamma)] = data.c[i]
+                dmat[(i, gamma)] = data.c_inverse[i].scale(info.tbar(i))
+            else:
+                xmat[(i, gamma)] = data.c[i] if gi == r - 1 else ident
+                if gi == 0:
+                    dmat[(i, gamma)] = data.c_inverse[i].scale(scalar)
+                else:
+                    dmat[(i, gamma)] = Matrix.scalar(field, d, scalar)
+    return WeightModule(info, window, spaces, xmat, dmat)
+
+
+SQRT2 = extend(QQ, Poly(QQ, [-2, 0, 1]))
+
+
+def _region_data(info, region):
+    """The skeleton data of ``build_S_O_p`` on one region (of ``build_S_O``
+    when there is no break): dimension 1 there and 0 elsewhere, zero a and b."""
+    field = info.residue.desc
+    values = {delta: int(delta == region) for delta in info.skeleton}
+    a, b = {}, {}
+    for delta in info.skeleton:
+        for i in info.break_set:
+            if delta.get(i) == 0:
+                up = values[delta.step(i, 1)]
+                a[(delta, i)] = Matrix.zeros(field, up, values[delta])
+                b[(delta, i)] = Matrix.zeros(field, values[delta], up)
+    return SkeletonModuleA(field, info.break_set, values, a, b)
+
+
+def _char0_skeleton_data():
+    """(data, info, window): the q1 and q2 lists over Q and Q(sqrt 2) and
+    the simples of a nondegenerate orbit and of each region, radius 1 and 2."""
+    for field in (QQ, SQRT2):
+        x = Poly.x(field)
+        root = Poly(field, [-field.gen(), field.one()]) if field is SQRT2 else Poly(
+            QQ, [Fraction(-1, 2), 1]
+        )
+        order1 = orbit_info(SepMaxIdeal(field, 2, {1: x, 2: root}))
+        order2 = orbit_info(SepMaxIdeal(field, 2, {1: x, 2: x}))
+        nondeg = orbit_info(SepMaxIdeal(field, 1, {1: root}))
+        for radius in (1, 2):
+            for info, reps in (
+                (order1, q1_indecomposables(order1.residue.desc)),
+                (order2, q2_indecomposables(field, max_string_len=3, max_poly_deg=1)),
+                (nondeg, []),
+            ):
+                window = make_window(info, radius=radius)
+                for rep in reps:
+                    yield rep_to_skeleton_module(rep, info), info, window
+                for region in info.skeleton:
+                    yield _region_data(info, region), info, window
+
+
+def test_char0_expansion_matches_the_reference_loop():
+    count = 0
+    for data, info, window in _char0_skeleton_data():
+        assert from_skeleton_module(data, info, window) == _reference_expand_A(data, info, window)
+        count += 1
+    assert count == 2 * 2 * (4 + 2 + 32 + 4 + 1)
+
+
+def _charp_skeleton_data():
+    """Loop data on GF(2) t^2+t+1 (alone and beside a break), GF(3) t, GF(3)
+    t^2+1 and GF(5) t+2: breaks, and loops of period 1 and 3.  Each a, b or
+    c is the identity, zero, or the companion matrix of a monic polynomial
+    of degree 1 or 2; every such choice that satisfies the relations."""
+    f5 = GF(5)
+    twisted = Poly(F2, [1, 1, 1])
+    for ideal in (
+        SepMaxIdeal(F2, 1, {1: twisted}),
+        SepMaxIdeal(F2, 2, {1: twisted, 2: Poly.x(F2)}),
+        SepMaxIdeal(F3, 1, {1: Poly.x(F3)}),
+        SepMaxIdeal(F3, 1, {1: Poly(F3, [1, 0, 1])}),
+        SepMaxIdeal(f5, 1, {1: Poly(f5, [2, 1])}),
+    ):
+        info = orbit_info(ideal)
+        residue = info.residue.desc
+        elems = list(residue.enumerate_elements())
+        for degree in (1, 2):
+            for low in itertools.product(elems, repeat=degree):
+                comp = companion_matrix(Poly(residue, list(low) + [residue.one()]))
+                one, zero = Matrix.identity(residue, degree), Matrix.zeros(residue, degree, degree)
+                pairs = [(comp, zero), (zero, comp), (zero, zero)]
+                for ab in itertools.product(pairs, repeat=len(info.break_set)):
+                    for c in itertools.product((comp, one), repeat=len(info.nonbreak_set)):
+                        a = {i: m for i, (m, _) in zip(info.break_set, ab)}
+                        b = {i: m for i, (_, m) in zip(info.break_set, ab)}
+                        try:
+                            data = SkeletonModuleB(
+                                info, degree, a, b, dict(zip(info.nonbreak_set, c))
+                            )
+                        except RelationViolation:  # a singular c, or a failed twist
+                            continue
+                        yield data, info
+
+
+def test_charp_expansion_matches_the_reference_loop():
+    dims = []
+    for data, info in _charp_skeleton_data():
+        assert from_skeleton_module(data, info) == _reference_expand_B(data, info)
+        dims.append(data.dimension)
+    assert (dims.count(1), dims.count(2)) == (61, 323)
+
+
+def _reference_block_minpoly(field, endo):
+    """The minimal polynomial of the block-diagonal matrix assembled from the
+    blocks of ``endo``, one power of the whole matrix at a time."""
+    weights = list(endo)
+    total = sum(endo[g].nrows for g in weights)
+    rows = [[field.zero()] * total for _ in range(total)]
+    pos = 0
+    for g in weights:
+        for r, c in itertools.product(range(endo[g].nrows), repeat=2):
+            rows[pos + r][pos + c] = endo[g].entry(r, c)
+        pos += endo[g].nrows
+    big = Matrix(field, total, total, rows)
+    powers = [Matrix.identity(field, total)]
+    while True:
+        flat = [[p.entry(r, c) for p in powers] for r in range(total) for c in range(total)]
+        kernel = Matrix(field, len(flat), len(powers), flat).nullspace()
+        if kernel:
+            return Poly(field, kernel[0]).monic()
+        powers.append(powers[-1] * big)
+
+
+def test_blockwise_minpoly_matches_the_assembled_block_diagonal():
+    # End bases of the q2 list, with the pairwise sums the Q oracle tries, and
+    # of bands whose End is a quadratic field and of a sum S + S
+    from weylmod.weightmod import _matrix_minpoly
+
+    degrees = set()
+    for field in (QQ, SQRT2):
+        info = orbit_info(SepMaxIdeal(field, 2, {1: Poly.x(field), 2: Poly.x(field)}))
+        window = make_window(info, radius=1)
+        reps = q2_indecomposables(field, max_string_len=3, max_poly_deg=1)
+        modules = [build_order2_module(info, rep, window) for rep in reps]
+        bands = [
+            rep
+            for rep in q2_indecomposables(field, max_string_len=2, max_poly_deg=2)
+            if rep.dims[0] == 2
+        ]
+        modules += [build_order2_module(info, rep, window) for rep in bands[:4]]
+        modules.append(direct_sum(modules[0], modules[0]))
+        for module in modules:
+            lin = KLinearization(module)
+            basis = solve_intertwiners(lin.graph, lin.graph)
+            sums = [{g: a[g] + b[g] for g in a} for a, b in itertools.combinations(basis, 2)]
+            for endo in basis + sums:
+                mp = _matrix_minpoly(lin.kfield, endo)
+                assert mp == _reference_block_minpoly(lin.kfield, endo)
+                degrees.add(mp.degree)
+    assert degrees == {1, 2}
