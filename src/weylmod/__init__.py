@@ -56,8 +56,7 @@ from .skeleton import (
     hom_space_A,
 )
 from .weightmod import (
-    SkeletonModuleA,
-    SkeletonModuleB,
+    SkeletonModule,
     WeightModule,
     direct_sum,
     from_skeleton_module,

@@ -696,16 +696,16 @@ def rational_roots(f: Poly) -> Optional[list]:
     return [r for r in roots if f.eval(r).is_zero()]
 
 
-def is_irreducible(
-    f: Poly,
-    *,
-    max_trial_degree: int = 8,
-    max_field_order: int = 81,
-) -> IrreducibilityAnswer:
+# Trial division over a finite field stops past these degree and order budgets.
+_MAX_TRIAL_DEGREE = 8
+_MAX_FIELD_ORDER = 81
+
+
+def is_irreducible(f: Poly) -> IrreducibilityAnswer:
     """Decide irreducibility of a monic polynomial where an exact method exists.
 
     Finite fields: exact, by trial division against all monic polynomials of
-    degree at most deg(f)/2, guarded by the degree and field-order budgets.
+    degree at most deg(f)/2, within the degree and field-order budgets.
     Rationals: exact up to degree 3 via the rational root test, within its
     trial bound on the end coefficients (beyond it, "unknown").  Extension
     towers over the rationals: degree 1 is exact; otherwise a rational root
@@ -721,7 +721,7 @@ def is_irreducible(
     field = f.field
     order = field.order()
     if order is not None:
-        if f.degree > max_trial_degree or order > max_field_order:
+        if f.degree > _MAX_TRIAL_DEGREE or order > _MAX_FIELD_ORDER:
             raise EnumerationBudgetExceeded(
                 f"trial division budget: degree {f.degree} over field of order {order}"
             )

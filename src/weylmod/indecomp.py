@@ -28,7 +28,7 @@ from .linalg import Matrix, OpGraph, companion_matrix, gl_generators, iter_matri
 from .orbits import ZERO_SHIFT, OrbitInfo, ShiftVector, Window
 from .simples import build_S_O_p
 from .skeleton import relation_holds, skeleton_quiver
-from .weightmod import SkeletonModuleA, WeightModule, from_skeleton_module, to_skeleton_module
+from .weightmod import SkeletonModule, WeightModule, from_skeleton_module, to_skeleton_module
 
 # The relabelling, by break order: the quiver's name, the vertex numbers of the
 # skeleton objects by their break bits, and the arrow names by their vertices,
@@ -519,21 +519,18 @@ def _block_relabelling(info: OrbitInfo, quiver: Optional[str] = None):
     return _relabelling(info.break_set)
 
 
-def rep_to_skeleton_module(rep: QuiverRep, info: OrbitInfo) -> SkeletonModuleA:
+def rep_to_skeleton_module(rep: QuiverRep, info: OrbitInfo) -> SkeletonModule:
     """The skeleton data of a representation of the block's named quiver.
 
-    ``SkeletonModuleA`` checks the relations, so a representation that
+    ``SkeletonModule`` checks the relations, so a representation that
     breaks them raises :class:`RelationViolation` here.
     """
     _, vertex, names, _ = _block_relabelling(info, rep.quiver)
-    values = {alpha: rep.dims[v] for alpha, v in vertex.items()}
-    ab = {"a": {}, "b": {}}
-    for (letter, alpha, i), name in names.items():
-        ab[letter][alpha, i] = rep.arrows[name]
-    return SkeletonModuleA(info.residue.desc, info.break_set, values, ab["a"], ab["b"])
+    dims = {alpha: rep.dims[v] for alpha, v in vertex.items()}
+    return SkeletonModule(info, dims, {x: rep.arrows[name] for x, name in names.items()})
 
 
-def skeleton_module_to_rep(data: SkeletonModuleA, info: OrbitInfo) -> QuiverRep:
+def skeleton_module_to_rep(data: SkeletonModule, info: OrbitInfo) -> QuiverRep:
     """The representation of the block's named quiver made of skeleton data."""
     quiver, vertex, names, _ = _block_relabelling(info)
     dims = {v: data.dim(alpha) for alpha, v in vertex.items()}

@@ -30,12 +30,13 @@ from .errors import (
 from .fields import Poly
 from .linalg import Matrix, companion_matrix
 from .orbits import ZERO_SHIFT, OrbitInfo, ShiftVector, Window, region_of
+from .skeleton import skeleton_quiver
 from .weightmod import (
-    SkeletonModuleA,
-    SkeletonModuleB,
+    SkeletonModule,
     WeightModule,
     from_skeleton_module,
     is_simple_finite,
+    require_every_region,
 )
 
 
@@ -126,8 +127,7 @@ def build_S_O(info: OrbitInfo, window: Optional[Window] = None) -> WeightModule:
         raise WrongCharacteristic("this construction needs characteristic zero")
     if info.degenerate:
         raise DegenerateOrbit("orbit has breaks; build the region simples instead")
-    data = SkeletonModuleA(info.residue.desc, (), {ZERO_SHIFT: 1}, {}, {})
-    return from_skeleton_module(data, info, window)
+    return from_skeleton_module(SkeletonModule(info, {ZERO_SHIFT: 1}, {}), info, window)
 
 
 def build_S_O_p(
@@ -145,17 +145,10 @@ def build_S_O_p(
     if region not in info.skeleton:
         raise NotASkeletonObject(f"{region!r} is not a region representative")
     field = info.residue.desc
-    values = {delta: (1 if delta == region else 0) for delta in info.skeleton}
-    a, b = {}, {}
-    for delta in info.skeleton:
-        for i in info.break_set:
-            if delta.get(i) != 0:
-                continue
-            up = delta.step(i, 1)
-            a[(delta, i)] = Matrix.zeros(field, values[up], values[delta])
-            b[(delta, i)] = Matrix.zeros(field, values[delta], values[up])
-    data = SkeletonModuleA(field, info.break_set, values, a, b)
-    return from_skeleton_module(data, info, window)
+    dims = {delta: int(delta == region) for delta in info.skeleton}
+    _, quiver, _ = skeleton_quiver(info.break_set)
+    arrows = {x: Matrix.zeros(field, dims[tgt], dims[src]) for x, (src, tgt) in quiver.items()}
+    return from_skeleton_module(SkeletonModule(info, dims, arrows), info, window)
 
 
 def _single_variable_quotient(info: OrbitInfo, desc: SimpleDescriptor, gen: Poly):
@@ -213,36 +206,26 @@ def build_S_char_p(
         if n_generator is not None and not n_generator.is_zero():
             raise NotPrincipal("the parametrizing algebra is the residue field; "
                                "only the zero ideal is proper")
-        dim = 1
-        amat = {i: Matrix.zeros(field, 1, 1) for i in info.break_set}
-        bmat = {i: Matrix.zeros(field, 1, 1) for i in info.break_set}
-        cmat = {}
+        dim, placed = 1, {}
     elif len(variables) == 1:
         if n_generator is None:
             raise NotPrincipal("a principal generator for the maximal ideal is required")
         kind, index, dim, companion = _single_variable_quotient(info, desc, n_generator)
-        amat = {i: Matrix.zeros(field, dim, dim) for i in info.break_set}
-        bmat = {i: Matrix.zeros(field, dim, dim) for i in info.break_set}
-        cmat = {}
-        if kind == "d":
-            if desc.xi[index] == 0:
-                amat[index] = companion
-            else:
-                bmat[index] = companion
-        else:
-            cmat[index] = companion
+        letter = "ab"[desc.xi[index]] if kind == "d" else "c"
+        placed = {(letter, index): companion}
     else:
         raise QuotientNotFiniteDimensional(
             "a principal ideal in two or more variables never has a "
             "finite-dimensional quotient"
         )
     for j in info.indices():
-        if j not in info.break_set and j not in cmat:
+        if j not in info.break_set and ("c", j) not in placed:
             raise QuotientNotFiniteDimensional(
                 "invertible variables without a generator keep the quotient infinite"
             )
-    data = SkeletonModuleB(info, dim, amat, bmat, cmat)
-    module = from_skeleton_module(data, info)
+    arrows = {(x, i): Matrix.zeros(field, dim, dim) for i in info.break_set for x in "ab"}
+    arrows.update(placed)
+    module = from_skeleton_module(SkeletonModule(info, {ZERO_SHIFT: dim}, arrows), info)
     if check_simple and not is_simple_finite(module, max_vectors=max_vectors):
         raise NotMaximal("the parametrizing ideal is not maximal: quotient is not simple")
     return module
@@ -256,8 +239,10 @@ def structural_simplicity_certificate(module: WeightModule) -> bool:
     residue field and lie in a single region, with every in-window
     transition between two nonzero spaces invertible, has no proper
     in-window-stable subspace but the zero one.  Without the dimension
-    condition a direct sum S + S would pass.
+    condition a direct sum S + S would pass.  A window that misses a
+    skeleton object sees only part of the module: :class:`InfiniteDimension`.
     """
+    require_every_region(module)
     info = module.info
     support = [g for g in module.window if module.dim(g) > 0]
     if not support or any(module.dim(g) != 1 for g in support):

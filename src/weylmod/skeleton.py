@@ -9,14 +9,14 @@ c_j elsewhere, and coefficients twisted by the residue-field automorphisms.
 
 Each algebra is stated once, as a quiver with relations: the
 characteristic-zero one as :func:`skeleton_quiver`, read by
-``build_skeleton``, ``weightmod.SkeletonModuleA`` and the quivers q1 and q2
-of ``indecomp``; the characteristic-p one as the one-vertex
-:func:`skeleton_loops`, read by ``build_skeleton`` and
-``weightmod.SkeletonModuleB``.  Those two module classes check their
-relations with :func:`relation_holds`, once, when the data is built; the
-generator map of ``build_skeleton`` says which path of a weight module
-realizes each arrow, and ``weightmod.to_skeleton_module`` reads the matrices
-along it.  The letters of a :class:`SkelMorphismA` are those of
+``build_skeleton`` and the quivers q1 and q2 of ``indecomp``; the
+characteristic-p one as the one-vertex :func:`skeleton_loops`, read by
+``build_skeleton``.  One module class, ``weightmod.SkeletonModule``, holds
+data over either: a matrix per arrow, keyed as in the generator map of
+``build_skeleton``, checked with :func:`relation_holds` once, when the data
+is built.  The generator map says which path of a weight module realizes
+each arrow, and ``weightmod.to_skeleton_module`` reads the matrices along
+it.  The letters of a :class:`SkelMorphismA` are those of
 :func:`hom_space_A`, and the one coefficient twist, in :func:`compose_B` as
 in ``weightmod``, is ``OrbitInfo.sigma_twist``.
 

@@ -19,12 +19,14 @@ are expansions of skeleton data.  Both read the generators by their keys in
 the generator map of ``skeleton.build_skeleton``, in one loop for both
 characteristics: :func:`from_skeleton_module` places each one on the steps
 across a wall, and :func:`to_skeleton_module` reads it along its path.
-Skeleton data (:class:`SkeletonModuleA`, :class:`SkeletonModuleB`) is checked
-once, when it is built, against the quiver with relations that states its
-algebra (``skeleton.skeleton_quiver``, ``skeleton.skeleton_loops``); that is
-the one check of the skeleton relations.  The coefficient twist of a
-semilinear product is ``OrbitInfo.sigma_twist``.  Every module class refuses
-a negative dimension, or one recorded off its window or objects, and
+Skeleton data is one class for both characteristics,
+:class:`SkeletonModule`: a dimension per skeleton object and one matrix per
+generator under its ``gmap`` key.  It is checked once, when it is built,
+against the quiver with relations that states its algebra
+(``skeleton.skeleton_quiver`` or ``skeleton.skeleton_loops``); that is the
+one check of the skeleton relations.  The coefficient twist of a semilinear
+product is ``OrbitInfo.sigma_twist``.  Both module classes refuse a negative
+dimension, or one recorded off their window or objects, and
 :class:`WeightModule` a matrix off its window's steps, with ``ValueError``.
 
 The oracles (closures, simplicity, indecomposability) run on the
@@ -224,11 +226,13 @@ class WeightModule:
 
 
 def direct_sum(a: WeightModule, b: WeightModule) -> WeightModule:
-    """Blockwise direct sum of two modules on the same window."""
+    """Blockwise direct sum of two modules of one orbit on the same window."""
     if a.window != b.window:
         raise WindowTooSmall("direct sum needs a common window")
     if a.field != b.field:
         raise FieldMismatch("direct sum needs a common residue field")
+    if a.info.base != b.info.base:
+        raise RelationViolation("direct sum needs a common orbit")
     spaces = {g: a.dim(g) + b.dim(g) for g in a.window}
     zero = a.field.zero()
 
@@ -344,97 +348,75 @@ def verify_relations(module: WeightModule) -> RelationReport:
 # ---- skeleton module data --------------------------------------------------
 
 
+def _name(x) -> str:
+    """A generator written letter_index, followed in characteristic 0 by its
+    key object in brackets."""
+    return f"{x[0]}_{x[-1]}" + "".join(f"[{o!r}]" for o in x[1:-1])
+
+
 def _failure(rel) -> str:
-    """The message for a skeleton relation that fails, each generator written
-    letter_index, followed in characteristic 0 by its key object in brackets."""
-    names = [f"{x[0]}_{x[-1]}" + "".join(f"[{o!r}]" for o in x[1:-1]) for x in rel]
+    """The message for a skeleton relation that fails."""
+    names = [_name(x) for x in rel]
     return f"relation {names[0]}.{names[1]} = {'.'.join(names[2:]) or '0'} fails"
 
 
-class SkeletonModuleA:
-    """A module over the characteristic-zero skeleton algebra, checked when built.
+class SkeletonModule:
+    """A module over the skeleton algebra of an orbit, checked when built.
 
-    values: dict skeleton object -> dimension; a/b: dict (object, index) ->
-    matrix, keyed by the object whose bit at the index is 0.  There must be
-    one matrix per arrow of ``skeleton_quiver(break_set)``, of the arrow's
-    shape, and together they must satisfy its relations; otherwise
-    :class:`RelationViolation` is raised.  A value that is negative or not at
-    a skeleton object raises ``ValueError``.
+    The algebra is ``skeleton_quiver(info.break_set)`` in characteristic 0 and
+    ``skeleton_loops(info.break_set, info.nonbreak_set)`` in characteristic p.
+    ``dims`` maps skeleton objects to dimensions (0 where absent), and
+    ``arrows`` holds one matrix per generator of the arrow's shape, keyed as in
+    ``build_skeleton(info).gmap``: ("a"|"b", object, i) in characteristic 0,
+    ("a"|"b"|"c", i) in characteristic p.  Each c must be invertible, and
+    together the matrices must satisfy the relations, in characteristic p each
+    product twisted as its loops act; otherwise :class:`RelationViolation` is
+    raised.  ``c_inverse`` holds the matrix of each c's inverse operator: its
+    inverse, twisted back where c twists.  A dimension that is negative or not
+    at a skeleton object raises ``ValueError``.
     """
 
-    def __init__(self, field: FieldDesc, break_set, values, a, b):
-        self.field = field
-        self.break_set = tuple(sorted(break_set))
-        self.values = dict(values)
-        self.a = dict(a)
-        self.b = dict(b)
-        objects, arrows, relations = skeleton_quiver(self.break_set)
-        _check_dims(self.values, objects, "skeleton objects")
-        given = len(self.a) + len(self.b)
-        if given != len(arrows):
-            raise RelationViolation(f"{given} matrices for {len(arrows)} arrows")
-        self.arrows = {}  # the matrices by skeleton generator
-        for (letter, alpha, i), (src, tgt) in arrows.items():
-            mat = (self.a if letter == "a" else self.b).get((alpha, i))
-            if mat is None or (mat.nrows, mat.ncols) != (self.dim(tgt), self.dim(src)):
-                raise RelationViolation(f"{letter}-matrix shape at ({alpha!r},{i})")
-            self.arrows[letter, alpha, i] = mat
-        for rel in relations:
-            if not relation_holds(self.arrows, rel):
-                raise RelationViolation(_failure(rel))
-
-    def dim(self, alpha: ShiftVector) -> int:
-        return self.values.get(alpha, 0)
-
-
-class SkeletonModuleB:
-    """A module over the one-object characteristic-p skeleton algebra, checked when built.
-
-    dim: the dimension of the one object; a/b: dict break index -> matrix; c:
-    dict other index -> matrix.  There must be one dim x dim matrix per loop
-    of ``skeleton_loops``, each c invertible, and together they must satisfy
-    its relations, each product twisted as its loops act; otherwise
-    :class:`RelationViolation` is raised.  ``c_inverse`` holds the matrix of
-    each c's inverse operator: its inverse, twisted back where c twists.  A
-    negative dim raises ``ValueError``.
-    """
-
-    def __init__(self, info: OrbitInfo, dim: int, a, b, c):
+    def __init__(self, info: OrbitInfo, dims, arrows):
         self.info = info
         self.field = info.residue.desc
-        self.dimension = d = int(dim)
-        self.a, self.b, self.c = dict(a), dict(b), dict(c)
-        objects, loops, relations = skeleton_loops(info.break_set, info.nonbreak_set)
-        _check_dims({ZERO_SHIFT: d}, objects, "skeleton object")
-        given = len(self.a) + len(self.b) + len(self.c)
-        if given != len(loops):
-            raise RelationViolation(f"{given} matrices for {len(loops)} loops")
-        self.arrows, twists = {}, {}  # the matrices and twists by loop
-        for letter, i in loops:
-            mat = getattr(self, letter).get(i)  # self.a, self.b or self.c
-            if mat is None or (mat.nrows, mat.ncols) != (d, d):
-                raise RelationViolation(f"skeleton generator {letter}_{i} needs a {d}x{d} matrix")
-            self.arrows[letter, i] = mat
-            e = info.tau_exponent(i)
-            twists[letter, i] = {i: -e if letter == "b" else e}
+        self.dims = {alpha: int(d) for alpha, d in dims.items()}
+        self.arrows = dict(arrows)
+        if info.char == 0:
+            objects, quiver, relations = skeleton_quiver(info.break_set)
+            twist = None
+        else:
+            objects, quiver, relations = skeleton_loops(info.break_set, info.nonbreak_set)
+
+            def twist(x, mat):  # a b loop twists back the way a or c twists
+                e = info.tau_exponent(x[1])
+                return _apply_twist(info, mat, {x[1]: -e if x[0] == "b" else e})
+
+        _check_dims(self.dims, objects, "skeleton objects")
+        if len(self.arrows) != len(quiver):
+            raise RelationViolation(f"{len(self.arrows)} matrices for {len(quiver)} generators")
+        for x, (src, tgt) in quiver.items():
+            mat, rows, cols = self.arrows.get(x), self.dim(tgt), self.dim(src)
+            if mat is None or (mat.nrows, mat.ncols) != (rows, cols):
+                raise RelationViolation(f"generator {_name(x)} needs a {rows}x{cols} matrix")
         self.c_inverse = {}
         for rel in relations:
             if len(rel) == 1:  # c is invertible: keep its inverse operator
                 j = rel[0][1]
-                inv = self.c[j].inverse()
+                inv = self.arrows[rel[0]].inverse()
                 if inv is None:
                     raise RelationViolation(f"loop generator at {j} is not invertible")
                 self.c_inverse[j] = _apply_twist(info, inv, {j: -info.tau_exponent(j)})
-            elif not relation_holds(
-                self.arrows, rel, lambda x, mat: _apply_twist(info, mat, twists[x])
-            ):
+            elif not relation_holds(self.arrows, rel, twist):
                 raise RelationViolation(_failure(rel))
+
+    def dim(self, alpha: ShiftVector = ZERO_SHIFT) -> int:
+        return self.dims.get(alpha, 0)
 
 
 # ---- the expansion functor (skeleton module -> weight module) --------------
 
 
-def from_skeleton_module(data, info: OrbitInfo, window: Optional[Window] = None):
+def from_skeleton_module(data: SkeletonModule, info: OrbitInfo, window: Optional[Window] = None):
     """Expand skeleton-module data to a windowed weight module.
 
     A wall is the raising step from coordinate 0 at a break index, or in
@@ -445,30 +427,29 @@ def from_skeleton_module(data, info: OrbitInfo, window: Optional[Window] = None)
     step is the identity, and every other lowering step the edge scalar.  In
     characteristic p the window is the whole orbit, whatever is passed.
     """
-    if isinstance(data, SkeletonModuleA):
-        if info.char != 0:
-            raise RelationViolation("two-sided skeleton data needs characteristic zero")
-        if data.break_set != info.break_set:
-            raise RelationViolation("skeleton data built for a different break set")
-        if window is None:
-            window = make_window(info)
-        # what a generator's key holds between its letter and its index: the
-        # region the raising step starts from, or nothing in characteristic p
-        region = {gamma: (canonical_skeleton_rep(info, gamma),) for gamma in window}
-        spaces = {gamma: data.dim(*region[gamma]) for gamma in window}
-        arrows = data.arrows
-    elif isinstance(data, SkeletonModuleB):
-        if info.char == 0:
-            raise RelationViolation("one-object skeleton data needs characteristic p")
+    if data.info.char != info.char:
+        raise RelationViolation(
+            "one-object skeleton data needs characteristic p" if not info.char
+            else "two-sided skeleton data needs characteristic zero" if not data.info.char
+            else f"skeleton data of characteristic {data.info.char}, not {info.char}"
+        )
+    if data.info.break_set != info.break_set:
+        raise RelationViolation("skeleton data built for a different break set")
+    # region[γ] goes between a generator key's letter and index: γ's region, or () in char p
+    if info.char:
         window = make_window(info)
-        region, spaces = dict.fromkeys(window, ()), dict.fromkeys(window, data.dimension)
+        region = dict.fromkeys(window, ())
         # A break index has period p, and the other lowering scalars of its
         # cycle, 1, 2, ..., p-2 and -1, multiply to (p-2)!(-1) = -1 by Wilson's
         # theorem; so the cycle of lowerings multiplies to b when the step
         # back across the wall is -b.
         arrows = {x: -m if x[0] == "b" else m for x, m in data.arrows.items()}
     else:
-        raise TypeError(f"not skeleton-module data: {data!r}")
+        if window is None:
+            window = make_window(info)
+        region = {gamma: (canonical_skeleton_rep(info, gamma),) for gamma in window}
+        arrows = data.arrows
+    spaces = {gamma: data.dim(*region[gamma]) for gamma in window}
 
     walls = {i: (0, "a") for i in info.break_set}  # index -> (wall's start coordinate, letter)
     if info.char:  # and a loop c at every other index
@@ -497,7 +478,7 @@ def from_skeleton_module(data, info: OrbitInfo, window: Optional[Window] = None)
 # ---- the compression functor (weight module -> skeleton module) ------------
 
 
-def to_skeleton_module(module: WeightModule):
+def to_skeleton_module(module: WeightModule) -> SkeletonModule:
     """Read skeleton-module data off a weight module.
 
     Each generator's matrix is the product along its path in the generator
@@ -506,19 +487,13 @@ def to_skeleton_module(module: WeightModule):
     through the base point in characteristic p.  The window must contain the
     skeleton objects and the paths; the data is checked when it is built.
     """
-    info = module.info
-    alg = build_skeleton(info)
+    alg = build_skeleton(module.info)
     for delta in alg.objects:
         if delta not in module.window:
             raise WindowTooSmall(f"window misses skeleton object {delta!r}")
-    mats = {"a": {}, "b": {}, "c": {}}  # by letter, then (object, index) or index
-    for x, path in alg.gmap.items():
-        mat, _ = module.evaluate_path(path["start"], path["steps"])
-        mats[x[0]][x[1:] if alg.kind == "A" else x[1]] = mat
-    if alg.kind == "A":
-        values = {delta: module.dim(delta) for delta in alg.objects}
-        return SkeletonModuleA(module.field, info.break_set, values, mats["a"], mats["b"])
-    return SkeletonModuleB(info, module.dim(ZERO_SHIFT), mats["a"], mats["b"], mats["c"])
+    dims = {delta: module.dim(delta) for delta in alg.objects}
+    arrows = {x: module.evaluate_path(p["start"], p["steps"])[0] for x, p in alg.gmap.items()}
+    return SkeletonModule(module.info, dims, arrows)
 
 
 # ---- base-field linearization ----------------------------------------------
@@ -680,6 +655,14 @@ def is_simple_finite(module: WeightModule, *, max_vectors: int = 1 << 16) -> boo
     )
 
 
+def require_every_region(module: WeightModule):
+    """Raise :class:`InfiniteDimension` when a characteristic-zero window
+    misses a skeleton object: it then sees only part of the module."""
+    info = module.info
+    if info.char == 0 and any(delta not in module.window for delta in info.skeleton):
+        raise InfiniteDimension("the window misses a region of the orbit")
+
+
 def _matrix_minpoly(field, endo) -> Poly:
     """The minimal polynomial of an endomorphism given by its blocks, one
     square matrix per weight: the least monic polynomial killing every block."""
@@ -711,9 +694,7 @@ def is_indecomposable_finite(
     skeleton object sees only part of the module, so there
     :class:`InfiniteDimension` is raised instead of an answer.
     """
-    info = module.info
-    if info.char == 0 and any(delta not in module.window for delta in info.skeleton):
-        raise InfiniteDimension("the window misses a region of the orbit")
+    require_every_region(module)
     lin = KLinearization(module)
     kfield = lin.kfield
     if kfield.order() is not None:
@@ -721,9 +702,8 @@ def is_indecomposable_finite(
     basis = solve_intertwiners(lin.graph, lin.graph)
     if not basis:
         return False  # the zero module
-    if not module.info.tau or all(v == "one" for v in module.info.tau.values()):
-        if len(basis) == lin.ext:
-            return True
+    if len(basis) == lin.ext:  # an infinite field has characteristic 0: no twist
+        return True
     for sol in basis + [
         {g: a[g] + b[g] for g in a}
         for a, b in itertools.combinations(basis, 2)

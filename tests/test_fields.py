@@ -140,7 +140,7 @@ def test_irreducibility_unknown_and_budget():
     # rational root still refutes at high degree
     assert is_irreducible(Poly(QQ, [-1, 0, 0, 0, 1])) is False
     with pytest.raises(EnumerationBudgetExceeded):
-        is_irreducible(Poly(F2, [1] * 12), max_trial_degree=8)
+        is_irreducible(Poly(F2, [1] * 12))
 
 
 def _count_by_necklace(q, d):

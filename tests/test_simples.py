@@ -4,6 +4,7 @@ import pytest
 
 from weylmod.errors import (
     DegenerateOrbit,
+    InfiniteDimension,
     NotASkeletonObject,
     NotMaximal,
     NotPrincipal,
@@ -12,6 +13,7 @@ from weylmod.errors import (
     WrongCharacteristic,
 )
 from weylmod.fields import GF, QQ, Poly, extend
+from weylmod.indecomp import QuiverRep, build_order2_module, string_module
 from weylmod.orbits import SepMaxIdeal, ShiftVector, make_window, orbit_info
 from weylmod.simples import (
     build_S_O,
@@ -95,6 +97,18 @@ def test_structural_certificate_rejects_direct_sum():
     module = build_S_O(info)
     assert structural_simplicity_certificate(module)
     assert not structural_simplicity_certificate(direct_sum(module, module))
+
+
+def test_structural_certificate_refuses_a_window_that_misses_a_region():
+    # over index 1 alone the order-2 window misses the regions of S1 and S2:
+    # S0 + S1 and the string M(2,0,0) would look simple there
+    info = orbit_info(SepMaxIdeal(QQ, 2, {1: Poly.x(QQ), 2: Poly.x(QQ)}))
+    pair = QuiverRep("q2", QQ, {0: 1, 1: 1}, {})
+    assert not structural_simplicity_certificate(build_order2_module(info, pair))
+    partial = make_window(info, 2, indices=[1])
+    for rep in (pair, string_module(QQ, 2, 0, 0)):
+        with pytest.raises(InfiniteDimension):
+            structural_simplicity_certificate(build_order2_module(info, rep, partial))
 
 
 def test_region_simples_a1():

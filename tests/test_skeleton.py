@@ -19,7 +19,7 @@ from weylmod.skeleton import (
     skeleton_quiver,
 )
 from weylmod.weightmod import (
-    SkeletonModuleB,
+    SkeletonModule,
     WeightModule,
     from_skeleton_module,
     to_skeleton_module,
@@ -361,7 +361,8 @@ def test_a_module_breaking_a_skeleton_relation_is_refused_when_read():
     F3 = GF(3)
     pinfo = orbit_info(SepMaxIdeal(F3, 1, {1: Poly.x(F3)}))
     one, zero = Matrix.identity(F3, 1), Matrix.zeros(F3, 1, 1)
-    module = from_skeleton_module(SkeletonModuleB(pinfo, 1, {1: one}, {1: zero}, {}), pinfo)
+    data = SkeletonModule(pinfo, {ZERO: 1}, {("a", 1): one, ("b", 1): zero})
+    module = from_skeleton_module(data, pinfo)
     dmat = dict(module.dmat)
     dmat[1, E1] = one
     broken = WeightModule(pinfo, module.window, module.spaces, module.xmat, dmat)

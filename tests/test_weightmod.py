@@ -26,11 +26,11 @@ from weylmod.orbits import (
     orbit_info,
 )
 from weylmod.simples import build_S_O, build_S_O_p, build_S_char_p, classify_simples
+from weylmod.skeleton import skeleton_quiver
 from weylmod.weightmod import (
     KLinearization,
     RelationReport,
-    SkeletonModuleA,
-    SkeletonModuleB,
+    SkeletonModule,
     WeightModule,
     direct_sum,
     from_skeleton_module,
@@ -230,12 +230,12 @@ def test_negative_or_off_window_dimensions_are_refused():
         with pytest.raises(ValueError):  # every step leaves a radius-0 window
             WeightModule(info, window, spaces, {}, {})
     with pytest.raises(ValueError):
-        SkeletonModuleA(QQ, (), {ZERO: -2}, {}, {})
+        SkeletonModule(info, {ZERO: -2}, {})
     with pytest.raises(ValueError):  # a break set (1,) has no object e_2
-        SkeletonModuleA(QQ, (1,), {ShiftVector.e(2): 1}, {}, {})
+        SkeletonModule(break_info(), {ShiftVector.e(2): 1}, {})
     binfo = orbit_info(SepMaxIdeal(F3, 1, {1: Poly.x(F3)}))
     with pytest.raises(ValueError):
-        SkeletonModuleB(binfo, -1, {}, {}, {})
+        SkeletonModule(binfo, {ZERO: -1}, {})
 
 
 def test_matrices_off_the_window_steps_are_refused():
@@ -321,12 +321,10 @@ def test_skeleton_data_with_a_wrong_shape_or_nonzero_ab_is_refused():
     ]
     for (low, high), a, b in cases:
         with pytest.raises(RelationViolation):
-            data = SkeletonModuleA(
-                field,
-                info.break_set,
+            data = SkeletonModule(
+                info,
                 {ZERO: low, up: high},
-                {(ZERO, 1): _matrix(field, a)},
-                {(ZERO, 1): _matrix(field, b)},
+                {("a", ZERO, 1): _matrix(field, a), ("b", ZERO, 1): _matrix(field, b)},
             )
             from_skeleton_module(data, info)
 
@@ -334,38 +332,40 @@ def test_skeleton_data_with_a_wrong_shape_or_nonzero_ab_is_refused():
 def _corner_paths_data(info, start):
     """Order-2 data, dimension 1 everywhere: the identity along both two-step
     paths from ``start`` to the opposite corner and zero elsewhere, so every
-    relation holds.  Also returns the second arrow of the path that crosses
-    the first break index first."""
+    relation holds.  Also returns the generator key of the second arrow of
+    the path that crosses the first break index first."""
     field = info.residue.desc
     one, zero = Matrix.identity(field, 1), Matrix.zeros(field, 1, 1)
-    a = {(d, i): zero for d in info.skeleton for i in info.break_set if d.get(i) == 0}
-    b = dict(a)
+    arrows = {
+        (x, d, i): zero for d in info.skeleton for i in info.break_set if d.get(i) == 0
+        for x in "ab"
+    }
     for order in itertools.permutations(info.break_set):
         corner = start
         for i in order:
             if corner.get(i) == 0:
-                arrow, key = a, (corner, i)
+                key = ("a", corner, i)
                 corner = corner.step(i, 1)
             else:
                 corner = corner.step(i, -1)
-                arrow, key = b, (corner, i)
-            arrow[key] = one
+                key = ("b", corner, i)
+            arrows[key] = one
         if order == info.break_set:
-            last = (arrow, key)
-    return {d: 1 for d in info.skeleton}, a, b, last
+            last = key
+    return {d: 1 for d in info.skeleton}, arrows, last
 
 
 def test_skeleton_data_breaking_one_commuting_square_is_refused():
     info = orbit_info(SepMaxIdeal(QQ, 2, {1: Poly.x(QQ), 2: Poly.x(QQ)}))
     field = info.residue.desc
     for start in info.skeleton:
-        values, a, b, (arrow, key) = _corner_paths_data(info, start)
-        data = SkeletonModuleA(field, info.break_set, values, a, b)
+        dims, arrows, key = _corner_paths_data(info, start)
+        data = SkeletonModule(info, dims, arrows)
         assert verify_relations(from_skeleton_module(data, info)).ok
         # one entry changed: only the square from this corner breaks
-        arrow[key] = Matrix.zeros(field, 1, 1)
+        arrows[key] = Matrix.zeros(field, 1, 1)
         with pytest.raises(RelationViolation):
-            data = SkeletonModuleA(field, info.break_set, values, a, b)
+            data = SkeletonModule(info, dims, arrows)
             from_skeleton_module(data, info)
 
 
@@ -376,14 +376,14 @@ def mixed_charp_info():
 
 
 def _loops_data(info, rows):
-    """SkeletonModuleB data on ``mixed_charp_info``: a_2, b_2 and c_1 from
-    their rows over GF(4), the entry u standing for the root tbar_1."""
+    """Skeleton data on ``mixed_charp_info``: a_2, b_2 and c_1 from their rows
+    over GF(4), the entry u standing for the root tbar_1."""
     field = info.residue.desc
     u = info.residue.tbar(1)
     elem = {0: field.zero(), 1: field.one(), "u": u}
     mats = {k: _matrix(field, [[elem[x] for x in row] for row in v]) for k, v in rows.items()}
-    dim = mats["a"].ncols
-    return SkeletonModuleB(info, dim, {2: mats["a"]}, {2: mats["b"]}, {1: mats["c"]})
+    arrows = {("a", 2): mats["a"], ("b", 2): mats["b"], ("c", 1): mats["c"]}
+    return SkeletonModule(info, {ZERO: mats["a"].ncols}, arrows)
 
 
 CHARP_BAD_DATA = {
@@ -410,18 +410,39 @@ def test_charp_skeleton_data_with_twisted_commuting_loops_is_accepted():
         assert verify_relations(from_skeleton_module(data, info)).ok
 
 
+def test_skeleton_data_of_another_orbit_kind_is_refused():
+    q1, q2 = break_info(), orbit_info(SepMaxIdeal(QQ, 2, {1: Poly.x(QQ), 2: Poly.x(QQ)}))
+    pinfo = mixed_charp_info()
+    one, zero = Matrix.identity(pinfo.residue.desc, 1), Matrix.zeros(pinfo.residue.desc, 1, 1)
+    charp = SkeletonModule(pinfo, {ZERO: 1}, {("a", 2): zero, ("b", 2): zero, ("c", 1): one})
+    char0 = to_skeleton_module(build_S_O_p(q1, ZERO, make_window(q1, radius=1)))
+    gf3, gf5 = (orbit_info(SepMaxIdeal(GF(p), 1, {1: Poly.x(GF(p))})) for p in (3, 5))
+    zero3 = Matrix.zeros(gf3.residue.desc, 1, 1)
+    char3 = SkeletonModule(gf3, {ZERO: 1}, {("a", 1): zero3, ("b", 1): zero3})
+    for data, info, message in (
+        (charp, q1, "one-object skeleton data needs characteristic p"),
+        (char0, pinfo, "two-sided skeleton data needs characteristic zero"),
+        (char3, gf5, "skeleton data of characteristic 3, not 5"),
+        (char0, q2, "different break set"),
+    ):
+        with pytest.raises(RelationViolation, match=message):
+            from_skeleton_module(data, info)
+
+
 def test_charp_skeleton_data_needs_one_matrix_per_loop():
     info = mixed_charp_info()
     field = info.residue.desc
     one, zero = Matrix.identity(field, 1), Matrix.zeros(field, 1, 1)
-    for a, b, c in (
-        ({2: zero}, {2: zero}, {}),  # c_1 missing
-        ({}, {2: zero}, {1: one}),  # a_2 missing
-        ({2: zero}, {2: zero}, {1: one, 2: one}),  # c_2 at a break index
-        ({1: zero, 2: zero}, {2: zero}, {1: one}),  # a_1 at a loop index
+    full = {("a", 2): zero, ("b", 2): zero, ("c", 1): one}
+    for arrows in (
+        {("a", 2): zero, ("b", 2): zero},  # c_1 missing
+        {("b", 2): zero, ("c", 1): one},  # a_2 missing
+        {**full, ("c", 2): one},  # c_2 at a break index
+        {**full, ("a", 1): zero},  # a_1 at a loop index
+        {("a", 2): zero, ("b", 2): zero, ("a", 1): zero},  # a_1 in place of c_1
     ):
         with pytest.raises(RelationViolation):
-            from_skeleton_module(SkeletonModuleB(info, 1, a, b, c), info)
+            from_skeleton_module(SkeletonModule(info, {ZERO: 1}, arrows), info)
 
 
 @pytest.mark.parametrize("p", [3, 5])
@@ -439,10 +460,10 @@ def test_charp_break_families_round_trip(p):
         zero = Matrix.zeros(field, loop.nrows, loop.nrows)
         for xi in (0, 1):
             a, b = (loop, zero) if xi == 0 else (zero, loop)
-            data = SkeletonModuleB(info, loop.nrows, {1: a}, {1: b}, {})
+            data = SkeletonModule(info, {ZERO: loop.nrows}, {("a", 1): a, ("b", 1): b})
             module = from_skeleton_module(data, info)
             back = to_skeleton_module(module)
-            assert back.a == data.a and back.b == data.b
+            assert back.arrows == data.arrows
             assert from_skeleton_module(back, info) == module
 
 
@@ -466,7 +487,7 @@ def test_charp_skeleton_data_is_checked_once(monkeypatch):
     monkeypatch.setattr(Matrix, "inverse", counting_inverse)
     one, zero = Matrix.identity(field, 1), Matrix.zeros(field, 1, 1)
     # a.b = b.a = 0 at 2 and the pairs (a_2, c_1), (b_2, c_1): four relations
-    data = SkeletonModuleB(info, 1, {2: zero}, {2: one}, {1: one})
+    data = SkeletonModule(info, {ZERO: 1}, {("a", 2): zero, ("b", 2): one, ("c", 1): one})
     assert counts == {"relations": 4, "inverses": 1}
     module = from_skeleton_module(data, info)
     assert counts == {"relations": 4, "inverses": 1}
@@ -498,6 +519,40 @@ def test_direct_sum_is_blockwise():
     assert verify_relations(both).ok
     data = to_skeleton_module(both)
     assert data.dim(ZERO) == 1 and data.dim(ShiftVector.e(1)) == 1
+
+
+def test_direct_sum_needs_a_common_orbit():
+    # t - 1/2 and t - 1/3 lie in different orbits: each module is sound, but
+    # their sum would break the weight condition on one summand
+    info_half = orbit_info(SepMaxIdeal(QQ, 1, {1: Poly(QQ, [Fraction(-1, 2), 1])}))
+    info_third = orbit_info(SepMaxIdeal(QQ, 1, {1: Poly(QQ, [Fraction(-1, 3), 1])}))
+    half = build_S_O(info_half, make_window(info_half, radius=1))
+    third = build_S_O(info_third, make_window(info_third, radius=1))
+    assert verify_relations(half).ok and verify_relations(third).ok
+    assert half.window == third.window
+    with pytest.raises(RelationViolation, match="common orbit"):
+        direct_sum(half, third)
+    assert verify_relations(direct_sum(half, half)).ok
+
+
+def test_order3_skeleton_data_round_trips():
+    # breaks at 1, 2, 3: 8 objects, 24 arrows and 48 relations
+    info = orbit_info(SepMaxIdeal(QQ, 3, {i: Poly.x(QQ) for i in (1, 2, 3)}))
+    objects, quiver, relations = skeleton_quiver(info.break_set)
+    assert (len(objects), len(quiver), len(relations)) == (8, 24, 48)
+    window = make_window(info, radius=1)
+    one, zero = Matrix.identity(QQ, 1), Matrix.zeros(QQ, 1, 1)
+    arrows = {x: one if x[0] == "a" else zero for x in quiver}
+    data = SkeletonModule(info, dict.fromkeys(objects, 1), arrows)
+    module = from_skeleton_module(data, info, window)
+    assert verify_relations(module).ok
+    back = to_skeleton_module(module)
+    assert back.dims == data.dims and back.arrows == data.arrows
+    for region in info.skeleton:
+        simple = build_S_O_p(info, region, window)
+        data = to_skeleton_module(simple)
+        assert data.dims == {delta: int(delta == region) for delta in objects}
+        assert from_skeleton_module(data, info, window) == simple
 
 
 def test_closure_monotone_idempotent_full():
@@ -599,7 +654,6 @@ def test_truncated_simplicity_raises_when_undecidable():
 
 def _conjugated_skeleton_A(data, rng, field):
     """Random base change of two-sided skeleton data (same module up to iso)."""
-    from weylmod.weightmod import SkeletonModuleA
 
     def random_gl(n):
         while True:
@@ -609,17 +663,13 @@ def _conjugated_skeleton_A(data, rng, field):
             if mat.inverse() is not None:
                 return mat
 
-    g = {alpha: random_gl(d) for alpha, d in data.values.items()}
+    g = {alpha: random_gl(d) for alpha, d in data.dims.items()}
     ginv = {alpha: g[alpha].inverse() for alpha in g}
-    a = {
-        (alpha, i): g[alpha.step(i, 1)] * mat * ginv[alpha]
-        for (alpha, i), mat in data.a.items()
-    }
-    b = {
-        (alpha, i): g[alpha] * mat * ginv[alpha.step(i, 1)]
-        for (alpha, i), mat in data.b.items()
-    }
-    return SkeletonModuleA(field, data.break_set, data.values, a, b)
+    arrows = {}
+    for (letter, alpha, i), mat in data.arrows.items():
+        src, tgt = (alpha, alpha.step(i, 1)) if letter == "a" else (alpha.step(i, 1), alpha)
+        arrows[letter, alpha, i] = g[tgt] * mat * ginv[src]
+    return SkeletonModule(data.info, data.dims, arrows)
 
 
 def test_base_changed_data_still_expands_and_round_trips():
@@ -639,13 +689,11 @@ def test_base_changed_data_still_expands_and_round_trips():
             module = from_skeleton_module(moved, info, window)
             assert verify_relations(module).ok
             back = to_skeleton_module(module)
-            assert back.a == moved.a and back.b == moved.b
+            assert back.arrows == moved.arrows
 
 
 def test_base_changed_charp_data():
     import random
-
-    from weylmod.weightmod import SkeletonModuleB
 
     rng = random.Random(7)
     info = stable_charp_info()
@@ -666,17 +714,15 @@ def test_base_changed_charp_data():
 
     twist = info.residue.sigma_pow
     for _ in range(3):
-        g = random_gl(data.dimension)
+        g = random_gl(data.dim())
         ginv = g.inverse()
         # the loop generator is twisted, so conjugation twists one side
-        c_new = {
-            1: g * data.c[1] * ginv.map_entries(lambda x: twist(x, 1, 1))
-        }
-        moved = SkeletonModuleB(info, data.dimension, data.a, data.b, c_new)
+        c_new = g * data.arrows["c", 1] * ginv.map_entries(lambda x: twist(x, 1, 1))
+        moved = SkeletonModule(info, data.dims, {**data.arrows, ("c", 1): c_new})
         expanded = from_skeleton_module(moved, info)
         assert verify_relations(expanded).ok
         back = to_skeleton_module(expanded)
-        assert back.c == moved.c
+        assert back.arrows == moved.arrows
 
 
 def test_order1_block_with_quadratic_residue_field():
@@ -911,14 +957,14 @@ def _reference_expand_A(data, info, window):
             if window.step(gamma, i, 1) is None:
                 pass
             elif info.is_break_index(i) and gamma.get(i) == 0:
-                xmat[(i, gamma)] = data.a[(region[gamma], i)]
+                xmat[(i, gamma)] = data.arrows["a", region[gamma], i]
             else:
                 xmat[(i, gamma)] = Matrix.identity(field, spaces[gamma])
             down = window.step(gamma, i, -1)
             if down is None:
                 continue
             if info.is_break_index(i) and gamma.get(i) == 1:
-                dmat[(i, gamma)] = data.b[(region[down], i)]
+                dmat[(i, gamma)] = data.arrows["b", region[down], i]
             else:
                 dmat[(i, gamma)] = Matrix.scalar(field, spaces[gamma], info.edge_scalar(down, i))
     return WeightModule(info, window, spaces, xmat, dmat)
@@ -932,7 +978,7 @@ def _reference_expand_B(data, info):
     every other step is the identity or the edge scalar."""
     window = make_window(info)
     field = info.residue.desc
-    d = data.dimension
+    d = data.dim()
     spaces = {gamma: d for gamma in window}
     ident = Matrix.identity(field, d)
     xmat, dmat = {}, {}
@@ -941,13 +987,14 @@ def _reference_expand_B(data, info):
             r, gi = info.period(i), gamma.get(i)
             scalar = info.edge_scalar(window.step(gamma, i, -1), i)
             if i in info.break_set:
-                xmat[(i, gamma)] = data.a[i] if gi == 0 else ident
-                dmat[(i, gamma)] = -data.b[i] if gi == 1 else Matrix.scalar(field, d, scalar)
+                xmat[(i, gamma)] = data.arrows["a", i] if gi == 0 else ident
+                lower = -data.arrows["b", i] if gi == 1 else Matrix.scalar(field, d, scalar)
+                dmat[(i, gamma)] = lower
             elif r == 1:
-                xmat[(i, gamma)] = data.c[i]
+                xmat[(i, gamma)] = data.arrows["c", i]
                 dmat[(i, gamma)] = data.c_inverse[i].scale(info.tbar(i))
             else:
-                xmat[(i, gamma)] = data.c[i] if gi == r - 1 else ident
+                xmat[(i, gamma)] = data.arrows["c", i] if gi == r - 1 else ident
                 if gi == 0:
                     dmat[(i, gamma)] = data.c_inverse[i].scale(scalar)
                 else:
@@ -962,15 +1009,15 @@ def _region_data(info, region):
     """The skeleton data of ``build_S_O_p`` on one region (of ``build_S_O``
     when there is no break): dimension 1 there and 0 elsewhere, zero a and b."""
     field = info.residue.desc
-    values = {delta: int(delta == region) for delta in info.skeleton}
-    a, b = {}, {}
+    dims = {delta: int(delta == region) for delta in info.skeleton}
+    arrows = {}
     for delta in info.skeleton:
         for i in info.break_set:
             if delta.get(i) == 0:
-                up = values[delta.step(i, 1)]
-                a[(delta, i)] = Matrix.zeros(field, up, values[delta])
-                b[(delta, i)] = Matrix.zeros(field, values[delta], up)
-    return SkeletonModuleA(field, info.break_set, values, a, b)
+                up = dims[delta.step(i, 1)]
+                arrows["a", delta, i] = Matrix.zeros(field, up, dims[delta])
+                arrows["b", delta, i] = Matrix.zeros(field, dims[delta], up)
+    return SkeletonModule(info, dims, arrows)
 
 
 def _char0_skeleton_data():
@@ -1029,12 +1076,11 @@ def _charp_skeleton_data():
                 pairs = [(comp, zero), (zero, comp), (zero, zero)]
                 for ab in itertools.product(pairs, repeat=len(info.break_set)):
                     for c in itertools.product((comp, one), repeat=len(info.nonbreak_set)):
-                        a = {i: m for i, (m, _) in zip(info.break_set, ab)}
-                        b = {i: m for i, (_, m) in zip(info.break_set, ab)}
+                        arrows = {("c", j): m for j, m in zip(info.nonbreak_set, c)}
+                        for i, pair in zip(info.break_set, ab):
+                            arrows.update(zip((("a", i), ("b", i)), pair))
                         try:
-                            data = SkeletonModuleB(
-                                info, degree, a, b, dict(zip(info.nonbreak_set, c))
-                            )
+                            data = SkeletonModule(info, {ZERO: degree}, arrows)
                         except RelationViolation:  # a singular c, or a failed twist
                             continue
                         yield data, info
@@ -1044,7 +1090,7 @@ def test_charp_expansion_matches_the_reference_loop():
     dims = []
     for data, info in _charp_skeleton_data():
         assert from_skeleton_module(data, info) == _reference_expand_B(data, info)
-        dims.append(data.dimension)
+        dims.append(data.dim())
     assert (dims.count(1), dims.count(2)) == (61, 323)
 
 
